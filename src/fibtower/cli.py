@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
@@ -83,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fib(args) -> int:
-    print(fib(args.index, max_index=args.max_index))
+    # Decimal's str is exempt from sys.get_int_max_str_digits(), which by
+    # default refuses ints of more than 4300 digits (F_n for n >= 20578).
+    print(Decimal(fib(args.index, max_index=args.max_index)))
     return EXIT_OK
 
 

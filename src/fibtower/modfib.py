@@ -5,12 +5,15 @@ F_t == 0 and F_{t+1} == 1 (mod M); the indices satisfying that pair
 condition are exactly the multiples of the period, which is what makes
 the divisor-descent searches below sound.
 
-Periods are computed on factored moduli: the period of M is the lcm of
-the periods of its prime-power parts, the period of p^e divides
-p^(e-1) * period(p), and period(p) divides p - 1 or 2(p + 1) according
-to p mod 5. Every candidate from those bounds is minimized by explicit
-divisor descent; nothing relies on the (open) question of whether the
-p^(e-1) scaling is always exact.
+Periods are computed on factored moduli and certified once, per prime
+power: the period of p^e divides p^(e-1) * period(p), and period(p)
+divides p - 1 or 2(p + 1) according to p mod 5. Each candidate from those
+bounds is minimized by explicit divisor descent, and the certified
+period is cached once per process under (p, e). By the CRT the period of
+M is the lcm of the periods of its prime-power parts. A chain re-checks
+the period property on each full modulus as the end-to-end check.
+Nothing relies on the (open) question of whether the p^(e-1) scaling is
+always exact, i.e. on pi(p^2) = p * pi(p).
 """
 
 from __future__ import annotations
@@ -271,29 +274,36 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-_prime_period_cache: dict[int, int] = {}
-_prime_power_cache: dict[tuple[int, int], FactoredNatural] = {}
+_period_cache: dict[tuple[int, int], FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
 
 
-def _descend_to_minimal(candidate: dict[int, int], m: int) -> dict[int, int]:
-    """Minimal t with the period property, given a factored valid candidate.
+def _cached_period(p: int, e: int) -> FactoredNatural | None:
+    with _period_cache_lock:
+        return _period_cache.get((p, e))
+
+
+def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatural:
+    """Minimal period mod p^e from a factored valid candidate, cached.
 
     Valid indices are exactly the multiples of the true period, so stripping
     prime factors while the property survives converges to it regardless of
     the order primes are tried.
     """
+    m = p**e
     cur = 1
-    for p, e in candidate.items():
-        cur *= p**e
+    for q, f in candidate.items():
+        cur *= q**f
     if not _is_period(cur, m):
         raise FibTowerError(f"period candidate {cur} invalid for modulus {m}")
     fac = dict(candidate)
-    for p in sorted(fac):
-        while fac[p] and _is_period(cur // p, m):
-            cur //= p
-            fac[p] -= 1
-    return {p: e for p, e in fac.items() if e}
+    for q in sorted(fac):
+        while fac[q] and _is_period(cur // q, m):
+            cur //= q
+            fac[q] -= 1
+    result = FactoredNatural.from_factor_map(fac)
+    with _period_cache_lock:
+        return _period_cache.setdefault((p, e), result)
 
 
 def pisano_prime(
@@ -305,27 +315,16 @@ def pisano_prime(
     """Period of the Fibonacci sequence mod a prime p.
 
     Search bound: p - 1 when p == +-1 (mod 5), 2(p + 1) when p == +-2,
-    with 2 and 5 fixed separately; the minimal valid divisor of the bound
-    is found by descent.
+    and 20 for p = 5; the minimal valid divisor of the bound is found by
+    descent and cached as the (p, 1) certificate.
     """
-    if p == 2:
-        return 3
-    if p == 5:
-        return 20
-    with _period_cache_lock:
-        hit = _prime_period_cache.get(p)
+    hit = _cached_period(p, 1)
     if hit is not None:
-        return hit
+        return hit.value
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    bound = p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    minimal = _descend_to_minimal(factorize(bound, budget, seed=seed).factor_map(), p)
-    result = 1
-    for q, e in minimal.items():
-        result *= q**e
-    with _period_cache_lock:
-        _prime_period_cache[p] = result
-    return result
+    bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+    return _certify_period(p, 1, factorize(bound, budget, seed=seed).factor_map()).value
 
 
 def _pisano_prime_power(
@@ -336,20 +335,16 @@ def _pisano_prime_power(
     seed: int = DEFAULT_FACTOR_SEED,
 ) -> FactoredNatural:
     """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent."""
-    key = (p, e)
-    with _period_cache_lock:
-        hit = _prime_power_cache.get(key)
+    hit = _cached_period(p, e)
     if hit is not None:
         return hit
-    base_period = pisano_prime(p, budget, seed=seed)
-    candidate = factorize(base_period, budget, seed=seed).factor_map()
-    if e > 1:
-        candidate[p] = candidate.get(p, 0) + (e - 1)
-    minimal = _descend_to_minimal(candidate, p**e)
-    result = FactoredNatural.from_factor_map(minimal)
-    with _period_cache_lock:
-        _prime_power_cache[key] = result
-    return result
+    pisano_prime(p, budget, seed=seed)  # certifies and caches (p, 1)
+    base = _cached_period(p, 1)
+    if e == 1:
+        return base
+    candidate = base.factor_map()
+    candidate[p] = candidate.get(p, 0) + (e - 1)
+    return _certify_period(p, e, candidate)
 
 
 def pisano_period(
@@ -360,14 +355,16 @@ def pisano_period(
 ) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
-    Combines prime-power periods by lcm; each prime-power period is
-    independently verified minimal, so the result never leans on the
-    open p^2 scaling conjecture.
+    By the CRT the period mod m is the lcm of the periods of its
+    prime-power parts, each of which is a certified minimal period from
+    the (p, e) cache; the result never leans on the open p^2 scaling
+    conjecture.
     """
-    out = FactoredNatural.one()
+    merged: dict[int, int] = {}
     for p, e in m.factors:
-        out = out.lcm(_pisano_prime_power(p, e, budget, seed=seed))
-    return out
+        for q, f in _pisano_prime_power(p, e, budget, seed=seed).factors:
+            merged[q] = max(merged.get(q, 0), f)
+    return FactoredNatural.from_factor_map(merged)
 
 
 def pisano_period_brute(m: int, cap: int | None = None) -> int:
@@ -411,17 +408,24 @@ class PisanoChain:
     levels: tuple[ChainLevel, ...]
 
     def verify(self) -> None:
-        """Re-check the period property, minimality, and level linkage."""
+        """Certify every level and the linkage between levels.
+
+        Each level's period must have the period property on the full
+        modulus (the end-to-end check) and equal pisano_period of that
+        modulus, the lcm of certified minimal prime-power periods; since
+        every period is a multiple of the minimal one, the two together
+        prove minimality.
+        """
         for i, level in enumerate(self.levels):
             m = level.modulus.value
             t = level.period.value
             if not _is_period(t, m):
                 raise FibTowerError(f"level {i + 1}: {t} is not a period mod {m}")
-            for q, _ in level.period.factors:
-                if _is_period(t // q, m):
-                    raise FibTowerError(
-                        f"level {i + 1}: period {t} mod {m} not minimal ({t // q} works)"
-                    )
+            minimal = pisano_period(level.modulus).value
+            if t != minimal:
+                raise FibTowerError(
+                    f"level {i + 1}: period {t} mod {m} not minimal (the period is {minimal})"
+                )
             if i + 1 < len(self.levels):
                 if m != self.levels[i + 1].period.value:
                     raise FibTowerError(

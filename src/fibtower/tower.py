@@ -138,13 +138,16 @@ class AnalysisReport:
     chain_summary: tuple[tuple[int, int], ...]
 
 
-def _evaluate_chain(spec: TowerSpec, chain: PisanoChain, fn: int) -> int:
-    """Tower value mod the chain target, one Fibonacci evaluation per level."""
+def _chain_residue(
+    spec: TowerSpec, target: FactoredNatural, fn: int, budget: int, seed: int
+) -> tuple[int, PisanoChain]:
+    """Tower value mod target, one Fibonacci evaluation per level, and the
+    verified depth-k chain it was evaluated on."""
+    chain = build_chain(spec.k, target, budget, seed=seed)
     r = pow(fn, spec.m, chain.levels[0].modulus.value)
-    for j in range(1, spec.k):
-        below = chain.levels[j - 1].modulus.value
-        r = fib_mod((spec.n * r) % below, chain.levels[j].modulus.value)
-    return r
+    for below, level in zip(chain.levels, chain.levels[1:]):
+        r = fib_mod((spec.n * r) % below.modulus.value, level.modulus.value)
+    return r, chain
 
 
 def tower_residue(
@@ -160,8 +163,7 @@ def tower_residue(
     each level's index is reduced mod the modulus one level down.
     """
     target = ensure_factored(modulus, budget, seed=seed)
-    chain = build_chain(spec.k, target, budget, seed=seed)
-    return _evaluate_chain(spec, chain, fib(spec.n))
+    return _chain_residue(spec, target, fib(spec.n), budget, seed)[0]
 
 
 def analyze(
@@ -184,52 +186,29 @@ def analyze(
     fn = fib(n)
     case, predicted = predicted_residue(spec)
     expected_valuation = k + m - 1
-    if fn == 1:
-        return AnalysisReport(
-            spec=spec,
-            fn_value=1,
-            expected_valuation=expected_valuation,
-            divisibility_ok=True,
-            unit_residue=0,
-            exact=False,
-            case=case,
-            predicted_residue=predicted,
-            match=True,
-            trivial_base=True,
-            chain_summary=(),
-        )
-    target = factorize(fn, budget, seed=seed).power(k + m)
-    chain = build_chain(k, target, budget, seed=seed)
-    x = _evaluate_chain(spec, chain, fn)
-    quotient, rem = divmod(x, fn**expected_valuation)
-    if rem:
-        # would be a counterexample to a proved divisibility statement
-        return AnalysisReport(
-            spec=spec,
-            fn_value=fn,
-            expected_valuation=expected_valuation,
-            divisibility_ok=False,
-            unit_residue=None,
-            exact=False,
-            case=case,
-            predicted_residue=predicted,
-            match=False,
-            trivial_base=False,
-            chain_summary=chain.summary(),
-        )
-    unit = quotient % fn
+    trivial = fn == 1
+    if trivial:
+        divisibility_ok, unit, chain_summary = True, 0, ()
+    else:
+        target = factorize(fn, budget, seed=seed).power(k + m)
+        x, chain = _chain_residue(spec, target, fn, budget, seed)
+        quotient, rem = divmod(x, fn**expected_valuation)
+        # rem != 0 would be a counterexample to a proved divisibility statement
+        divisibility_ok = rem == 0
+        unit = quotient % fn if divisibility_ok else None
+        chain_summary = chain.summary()
     return AnalysisReport(
         spec=spec,
         fn_value=fn,
         expected_valuation=expected_valuation,
-        divisibility_ok=True,
+        divisibility_ok=divisibility_ok,
         unit_residue=unit,
-        exact=unit != 0,
+        exact=bool(unit),
         case=case,
         predicted_residue=predicted,
-        match=True if predicted is None else unit == predicted,
-        trivial_base=False,
-        chain_summary=chain.summary(),
+        match=divisibility_ok and (predicted is None or unit == predicted),
+        trivial_base=trivial,
+        chain_summary=chain_summary,
     )
 
 

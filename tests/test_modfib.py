@@ -151,6 +151,8 @@ def test_pisano_examples():
     assert pisano_prime(5) == 20
     assert pi_of(25) == 100
     assert pi_of(27) == 72
+    with pytest.raises(ValueError):
+        pisano_prime(9)  # composite
 
 
 def test_pisano_brute_examples():
@@ -211,6 +213,10 @@ def test_chain_verify_rejects_corruption():
         PisanoChain(
             (ChainLevel(factorize(23), factorize(24)), good.levels[1])
         ).verify()  # 24 is not a period mod 23
+    with pytest.raises(FibTowerError):
+        PisanoChain(
+            (ChainLevel(factorize(8), factorize(12)), good.levels[1])
+        ).verify()  # 12 is the period mod 8, but 8 != 24, the next level's period
 
 
 def test_chain_depth_validation():

@@ -1,6 +1,7 @@
 """Sweep reports (JSON/CSV) and the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -87,6 +88,24 @@ def test_cli_fib(capsys):
     assert capsys.readouterr().out == "0\n"
     assert main(["fib", "12"]) == 0
     assert capsys.readouterr().out == "144\n"
+
+
+def test_cli_fib_beyond_int_str_digit_limit(capsys):
+    # F_30000 has 6270 digits, above CPython's default int->str cap of 4300
+    limit = sys.get_int_max_str_digits()
+    assert main(["fib", "30000"]) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    a, b = 0, 1
+    for _ in range(30000):
+        a, b = b, a + b
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(a)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 6270
+    assert out == expected + "\n"
 
 
 def test_cli_fib_budget_exit(capsys):
