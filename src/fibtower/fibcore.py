@@ -30,7 +30,7 @@ def _fib_pair(i: int) -> tuple[int, int]:
     return a, b
 
 
-def _check_budget(i: int, max_index: int | None) -> None:
+def _check_budget(i: int, max_index: int | None = None) -> None:
     limit = DEFAULT_MAX_FIB_INDEX if max_index is None else max_index
     if i > limit:
         raise BudgetExceeded(f"fib index {i} exceeds exact-index budget {limit}")
@@ -44,11 +44,11 @@ def fib(i: int, *, max_index: int | None = None) -> int:
     return _fib_pair(i)[0]
 
 
-def fib_iterative(i: int, *, max_index: int | None = None) -> int:
+def fib_iterative(i: int) -> int:
     """F_i by the plain recurrence; independent cross-check for fib()."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    _check_budget(i, max_index)
+    _check_budget(i)
     a, b = 0, 1
     for _ in range(i):
         a, b = b, a + b
@@ -84,13 +84,11 @@ def valuation(base: int, x: int) -> int:
 # --------------------------- identity checkers ---------------------------
 
 
-def gcd_identity_check(a: int, b: int, *, max_index: int | None = None) -> bool:
+def gcd_identity_check(a: int, b: int) -> bool:
     """gcd(F_a, F_b) == F_{gcd(a,b)}."""
     if a < 1 or b < 1:
         raise ValueError("indices must be positive")
-    return gcd(fib(a, max_index=max_index), fib(b, max_index=max_index)) == fib(
-        gcd(a, b), max_index=max_index
-    )
+    return gcd(fib(a), fib(b)) == fib(gcd(a, b))
 
 
 def fib_multiple_expansion(n: int, r: int, *, max_index: int | None = None) -> int:
@@ -114,20 +112,20 @@ def fib_multiple_expansion(n: int, r: int, *, max_index: int | None = None) -> i
     return total
 
 
-def cassini(n: int, *, max_index: int | None = None) -> int:
+def cassini(n: int) -> int:
     """F_{n+1}*F_{n-1} - F_n^2, which must equal (-1)^n."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_budget(n + 1, max_index)
+    _check_budget(n + 1)
     a, b = _fib_pair(n - 1)  # (F_{n-1}, F_n)
     return (a + b) * a - b * b
 
 
-def square_congruence_check(n: int, *, max_index: int | None = None) -> bool:
+def square_congruence_check(n: int) -> bool:
     """F_{n-1}^2 == F_{n+1}^2 == (-1)^n, all modulo F_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_budget(n + 1, max_index)
+    _check_budget(n + 1)
     a, b = _fib_pair(n - 1)
     fn = b
     if fn == 1:
@@ -136,20 +134,20 @@ def square_congruence_check(n: int, *, max_index: int | None = None) -> bool:
     return a * a % fn == sign and (a + b) * (a + b) % fn == sign
 
 
-def addition_formula_check(a: int, b: int, *, max_index: int | None = None) -> bool:
+def addition_formula_check(a: int, b: int) -> bool:
     """F_{a+b} == F_{a+1}*F_b + F_a*F_{b-1}."""
     if a < 1 or b < 1:
         raise ValueError("indices must be positive")
-    _check_budget(a + b, max_index)
+    _check_budget(a + b)
     fa, fa1 = _fib_pair(a)
     fbm1, fb = _fib_pair(b - 1)
     return fib(a + b) == fa1 * fb + fa * fbm1
 
 
-def index_divisibility_check(a: int, b: int, *, max_index: int | None = None) -> bool:
+def index_divisibility_check(a: int, b: int) -> bool:
     """For a >= 3: F_a | F_b holds exactly when a | b."""
     if a < 3:
         raise ValueError("a must be at least 3")
     if b < 1:
         raise ValueError("b must be positive")
-    return (fib(b, max_index=max_index) % fib(a, max_index=max_index) == 0) == (b % a == 0)
+    return (fib(b) % fib(a) == 0) == (b % a == 0)

@@ -97,9 +97,7 @@ class TruncationPair:
     quadratic: int
 
 
-def truncated_expansion_residues(
-    n: int, r: int, k: int, *, max_index: int | None = None
-) -> TruncationPair:
+def truncated_expansion_residues(n: int, r: int, k: int) -> TruncationPair:
     """The two leading terms of the expansion of F_{n*r} / F_n^(k+1) mod F_n.
 
     Requires F_n^k | r; all divisions are checked exact on integers before
@@ -124,16 +122,14 @@ def truncated_expansion_residues(
     return TruncationPair(linear=linear, quadratic=quadratic)
 
 
-def truncated_expansion_check(
-    n: int, r: int, k: int, *, max_index: int | None = None
-) -> bool:
+def truncated_expansion_check(n: int, r: int, k: int) -> bool:
     """F_{n*r} / F_n^(k+1) == linear + quadratic (mod F_n), exactly.
 
     Runs at exact-oracle scale only: fib(n*r) is materialized.
     """
-    pair = truncated_expansion_residues(n, r, k, max_index=max_index)
+    pair = truncated_expansion_residues(n, r, k)
     fn = fib(n)
-    value = fib(n * r, max_index=max_index)
+    value = fib(n * r)
     denom = fn ** (k + 1)
     if value % denom:
         raise FibTowerError(f"F_{n}^{k + 1} does not divide F_{n * r}")

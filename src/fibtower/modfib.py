@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from math import gcd, isqrt
 
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
@@ -87,13 +88,25 @@ def is_prime(n: int) -> bool:
 # ---------------------------- factorization ----------------------------
 
 
-def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
+def _digits(n: int) -> int:
+    """Decimal digits of n >= 1; exempt from the int->str digit limit."""
+    return Decimal(n).adjusted() + 1
+
+
+def _budget_exhausted(budget: int, n: int) -> FactorBudgetExceeded:
+    return FactorBudgetExceeded(
+        f"rho budget {budget} exhausted on a {_digits(n)}-digit cofactor"
+    )
+
+
+def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
     """One nontrivial factor of odd composite n via Brent's cycle method.
 
-    Returns (factor, iterations_used). Raises FactorBudgetExceeded when the
-    budget runs out. Deterministic for a fixed seed.
+    used counts the rho iterations already spent against budget by the
+    same factorization. Returns (factor, used) with this call's iterations
+    added; raises FactorBudgetExceeded once used passes budget.
+    Deterministic for a fixed seed.
     """
-    used = 0
     for attempt in range(64):
         rng = random.Random(f"rho:{seed}:{n}:{attempt}")
         y = rng.randrange(1, n)
@@ -117,9 +130,7 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
             used += min(r, k)
             r *= 2
             if used > budget:
-                raise FactorBudgetExceeded(
-                    f"rho budget {budget} exhausted on cofactor {n}"
-                )
+                raise _budget_exhausted(budget, n)
         if g == n:
             # backtrack one step at a time to split the batched gcd
             g = 1
@@ -128,12 +139,12 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
                 g = gcd(abs(x - ys), n)
                 used += 1
                 if used > budget:
-                    raise FactorBudgetExceeded(
-                        f"rho budget {budget} exhausted on cofactor {n}"
-                    )
+                    raise _budget_exhausted(budget, n)
         if g != n:
             return g, used
-    raise FactorBudgetExceeded(f"rho failed to split {n} after 64 restarts")
+    raise FactorBudgetExceeded(
+        f"rho failed to split a {_digits(n)}-digit cofactor after 64 restarts"
+    )
 
 
 @dataclass(frozen=True)
@@ -203,9 +214,10 @@ def factorize(
 ) -> FactoredNatural:
     """Complete factorization: trial division, then Brent rho on what remains.
 
-    Deterministic for a fixed seed. Raises FactorBudgetExceeded when a
-    composite cofactor resists the budgeted rho effort, which signals that
-    the requested parameters are beyond desk scale.
+    Deterministic for a fixed seed. budget caps the rho iterations spent
+    on all cofactors together; FactorBudgetExceeded names it and the
+    cofactor that exhausted it, which signals that the requested
+    parameters are beyond desk scale.
     """
     if x < 1:
         raise ValueError("x must be positive")
@@ -216,29 +228,17 @@ def factorize(
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
-    remaining = budget
+    used = 0
     stack = [x] if x > 1 else []
     while stack:
         v = stack.pop()
         if is_prime(v):
             found[v] = found.get(v, 0) + 1
             continue
-        d, used = _brent_rho(v, seed, remaining)
-        remaining -= used
+        d, used = _brent_rho(v, seed, budget, used)
         stack.append(d)
         stack.append(v // d)
     return FactoredNatural.from_factor_map(found)
-
-
-def ensure_factored(
-    m: int | FactoredNatural,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> FactoredNatural:
-    if isinstance(m, FactoredNatural):
-        return m
-    return factorize(m, budget, seed=seed)
 
 
 # ------------------------- modular Fibonacci -------------------------
@@ -306,12 +306,7 @@ def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatura
         return _period_cache.setdefault((p, e), result)
 
 
-def pisano_prime(
-    p: int,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> int:
+def pisano_prime(p: int) -> int:
     """Period of the Fibonacci sequence mod a prime p.
 
     Search bound: p - 1 when p == +-1 (mod 5), 2(p + 1) when p == +-2,
@@ -324,21 +319,15 @@ def pisano_prime(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    return _certify_period(p, 1, factorize(bound, budget, seed=seed).factor_map()).value
+    return _certify_period(p, 1, factorize(bound).factor_map()).value
 
 
-def _pisano_prime_power(
-    p: int,
-    e: int,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> FactoredNatural:
+def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
     """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent."""
     hit = _cached_period(p, e)
     if hit is not None:
         return hit
-    pisano_prime(p, budget, seed=seed)  # certifies and caches (p, 1)
+    pisano_prime(p)  # certifies and caches (p, 1)
     base = _cached_period(p, 1)
     if e == 1:
         return base
@@ -347,12 +336,7 @@ def _pisano_prime_power(
     return _certify_period(p, e, candidate)
 
 
-def pisano_period(
-    m: FactoredNatural,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> FactoredNatural:
+def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
     By the CRT the period mod m is the lcm of the periods of its
@@ -362,7 +346,7 @@ def pisano_period(
     """
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        for q, f in _pisano_prime_power(p, e, budget, seed=seed).factors:
+        for q, f in _pisano_prime_power(p, e).factors:
             merged[q] = max(merged.get(q, 0), f)
     return FactoredNatural.from_factor_map(merged)
 
@@ -436,20 +420,18 @@ class PisanoChain:
         return tuple((lvl.modulus.value, lvl.period.value) for lvl in self.levels)
 
 
-def build_chain(
-    k: int,
-    target: FactoredNatural,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> PisanoChain:
-    """Chain of k levels ending at target, built target-first."""
+def build_chain(k: int, target: FactoredNatural) -> PisanoChain:
+    """Chain of k levels ending at target, built target-first, then verified.
+
+    Periods come from factorize under DEFAULT_FACTOR_BUDGET; raises
+    FactorBudgetExceeded when a period bound resists that budget.
+    """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
     levels: list[ChainLevel] = []
     cur = target
     for _ in range(k):
-        levels.append(ChainLevel(cur, pisano_period(cur, budget, seed=seed)))
+        levels.append(ChainLevel(cur, pisano_period(cur)))
         cur = levels[-1].period
     chain = PisanoChain(tuple(reversed(levels)))
     chain.verify()

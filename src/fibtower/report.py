@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import product
 
 from . import __version__
@@ -133,15 +134,36 @@ def run_sweep(
 # ------------------------------ serialization ------------------------------
 
 
+# Decimal's int<->str conversions are exempt from sys.get_int_max_str_digits(),
+# which by default refuses ints of more than 4300 digits; chain moduli such
+# as F_90^302 have thousands.
+
+
+def _dec(value: int) -> str:
+    """Decimal string of a nonnegative int of any length."""
+    return str(Decimal(value))
+
+
+def _parse_dec(text: str) -> int:
+    """Inverse of _dec; rejects anything but a string of decimal digits."""
+    if not text.isdecimal():
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(Decimal(text))
+
+
 def _opt(value: int | None) -> str | None:
-    return None if value is None else str(value)
+    return None if value is None else _dec(value)
+
+
+def _parse_opt(text: str | None) -> int | None:
+    return None if text is None else _parse_dec(text)
 
 
 def _row_dict(row: SweepRow) -> dict:
     out: dict = {
-        "n": str(row.spec.n),
-        "k": str(row.spec.k),
-        "m": str(row.spec.m),
+        "n": _dec(row.spec.n),
+        "k": _dec(row.spec.k),
+        "m": _dec(row.spec.m),
         "status": row.status,
     }
     rep = row.report
@@ -160,8 +182,8 @@ def _row_dict(row: SweepRow) -> dict:
         )
         return out
     out.update(
-        fn=str(rep.fn_value),
-        expected_valuation=str(rep.expected_valuation),
+        fn=_dec(rep.fn_value),
+        expected_valuation=_dec(rep.expected_valuation),
         divisibility_ok=rep.divisibility_ok,
         unit_residue=_opt(rep.unit_residue),
         exact=rep.exact,
@@ -170,7 +192,7 @@ def _row_dict(row: SweepRow) -> dict:
         match=rep.match,
         trivial_base=rep.trivial_base,
         chain=[
-            {"modulus": str(mod), "period": str(per)} for mod, per in rep.chain_summary
+            {"modulus": _dec(mod), "period": _dec(per)} for mod, per in rep.chain_summary
         ],
     )
     return out
@@ -182,43 +204,48 @@ def analysis_to_dict(report: AnalysisReport) -> dict:
     return _row_dict(SweepRow(spec=report.spec, report=report, status=status))
 
 
+def _summary_dict(report: SweepReport) -> dict:
+    return {
+        group: {key: _dec(count) for key, count in counts.items()}
+        for group, counts in report.summary().items()
+    }
+
+
 def render_json(report: SweepReport) -> str:
     payload = {
         "tool_version": report.tool_version,
-        "seed": str(report.seed),
+        "seed": _dec(report.seed),
         "grid": {
-            "k": [str(report.k_range[0]), str(report.k_range[1])],
-            "n": [str(report.n_range[0]), str(report.n_range[1])],
-            "m": [str(report.m_range[0]), str(report.m_range[1])],
+            "k": [_dec(report.k_range[0]), _dec(report.k_range[1])],
+            "n": [_dec(report.n_range[0]), _dec(report.n_range[1])],
+            "m": [_dec(report.m_range[0]), _dec(report.m_range[1])],
         },
         "rows": [_row_dict(r) for r in report.rows],
-        "summary": {
-            group: {key: str(count) for key, count in counts.items()}
-            for group, counts in report.summary().items()
-        },
+        "summary": _summary_dict(report),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_row(obj: dict) -> SweepRow:
-    spec = TowerSpec(k=int(obj["k"]), n=int(obj["n"]), m=int(obj["m"]))
+    spec = TowerSpec(
+        k=_parse_dec(obj["k"]), n=_parse_dec(obj["n"]), m=_parse_dec(obj["m"])
+    )
     if obj["fn"] is None:
         return SweepRow(spec=spec, report=None, status=obj["status"])
     report = AnalysisReport(
         spec=spec,
-        fn_value=int(obj["fn"]),
-        expected_valuation=int(obj["expected_valuation"]),
+        fn_value=_parse_dec(obj["fn"]),
+        expected_valuation=_parse_dec(obj["expected_valuation"]),
         divisibility_ok=obj["divisibility_ok"],
-        unit_residue=None if obj["unit_residue"] is None else int(obj["unit_residue"]),
+        unit_residue=_parse_opt(obj["unit_residue"]),
         exact=obj["exact"],
         case=CaseTag(obj["case"]),
-        predicted_residue=(
-            None if obj["predicted_residue"] is None else int(obj["predicted_residue"])
-        ),
+        predicted_residue=_parse_opt(obj["predicted_residue"]),
         match=obj["match"],
         trivial_base=obj["trivial_base"],
         chain_summary=tuple(
-            (int(lvl["modulus"]), int(lvl["period"])) for lvl in obj["chain"]
+            (_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"]))
+            for lvl in obj["chain"]
         ),
     )
     return SweepRow(spec=spec, report=report, status=obj["status"])
@@ -227,19 +254,16 @@ def _parse_row(obj: dict) -> SweepRow:
 def parse_json(text: str) -> SweepReport:
     """Inverse of render_json; validates the stored summary against the rows."""
     payload = json.loads(text)
+    grid = payload["grid"]
     report = SweepReport(
         tool_version=payload["tool_version"],
-        seed=int(payload["seed"]),
-        k_range=(int(payload["grid"]["k"][0]), int(payload["grid"]["k"][1])),
-        n_range=(int(payload["grid"]["n"][0]), int(payload["grid"]["n"][1])),
-        m_range=(int(payload["grid"]["m"][0]), int(payload["grid"]["m"][1])),
+        seed=_parse_dec(payload["seed"]),
+        k_range=(_parse_dec(grid["k"][0]), _parse_dec(grid["k"][1])),
+        n_range=(_parse_dec(grid["n"][0]), _parse_dec(grid["n"][1])),
+        m_range=(_parse_dec(grid["m"][0]), _parse_dec(grid["m"][1])),
         rows=tuple(_parse_row(r) for r in payload["rows"]),
     )
-    stored = {
-        group: {key: str(count) for key, count in counts.items()}
-        for group, counts in report.summary().items()
-    }
-    if stored != payload["summary"]:
+    if _summary_dict(report) != payload["summary"]:
         raise ValueError("summary does not match row tallies")
     return report
 

@@ -14,16 +14,7 @@ from enum import Enum
 
 from .errors import FibTowerError
 from .fibcore import fib
-from .modfib import (
-    DEFAULT_FACTOR_BUDGET,
-    DEFAULT_FACTOR_SEED,
-    FactoredNatural,
-    PisanoChain,
-    build_chain,
-    ensure_factored,
-    factorize,
-    fib_mod,
-)
+from .modfib import FactoredNatural, PisanoChain, build_chain, factorize, fib_mod
 
 
 @dataclass(frozen=True)
@@ -139,39 +130,29 @@ class AnalysisReport:
 
 
 def _chain_residue(
-    spec: TowerSpec, target: FactoredNatural, fn: int, budget: int, seed: int
+    spec: TowerSpec, target: FactoredNatural, fn: int
 ) -> tuple[int, PisanoChain]:
     """Tower value mod target, one Fibonacci evaluation per level, and the
     verified depth-k chain it was evaluated on."""
-    chain = build_chain(spec.k, target, budget, seed=seed)
+    chain = build_chain(spec.k, target)
     r = pow(fn, spec.m, chain.levels[0].modulus.value)
     for below, level in zip(chain.levels, chain.levels[1:]):
         r = fib_mod((spec.n * r) % below.modulus.value, level.modulus.value)
     return r, chain
 
 
-def tower_residue(
-    spec: TowerSpec,
-    modulus: int | FactoredNatural,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> int:
+def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
     """Tower value mod modulus, via a depth-k Pisano chain.
 
     Sound because F_i mod M depends on i only through i mod period(M):
     each level's index is reduced mod the modulus one level down.
     """
-    target = ensure_factored(modulus, budget, seed=seed)
-    return _chain_residue(spec, target, fib(spec.n), budget, seed)[0]
+    if not isinstance(modulus, FactoredNatural):
+        modulus = factorize(modulus)
+    return _chain_residue(spec, modulus, fib(spec.n))[0]
 
 
-def analyze(
-    spec: TowerSpec,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> AnalysisReport:
+def analyze(spec: TowerSpec) -> AnalysisReport:
     """Valuation/unit analysis of one tower spec against the predicted residue.
 
     Works from the tower's residue mod F_n^(k+m): that residue determines
@@ -181,6 +162,9 @@ def analyze(
     n = 3 is the sharp edge of exact divisibility: F_0 = 0 makes the
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
+
+    Factoring F_n and the chain periods runs under DEFAULT_FACTOR_BUDGET;
+    raises FactorBudgetExceeded when a cofactor resists it.
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -190,8 +174,8 @@ def analyze(
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        target = factorize(fn, budget, seed=seed).power(k + m)
-        x, chain = _chain_residue(spec, target, fn, budget, seed)
+        target = factorize(fn).power(k + m)
+        x, chain = _chain_residue(spec, target, fn)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0
@@ -212,12 +196,7 @@ def analyze(
     )
 
 
-def tower_parity_check(
-    spec: TowerSpec,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> tuple[bool, bool, bool]:
+def tower_parity_check(spec: TowerSpec) -> tuple[bool, bool, bool]:
     """Parity and mod-8 facts about the tower value r, from r mod 8.
 
     Returns the truth of: (r even iff 3|n or 4|n); (n coprime to 6 implies
@@ -227,7 +206,7 @@ def tower_parity_check(
     if spec.k < 2:
         raise ValueError("parity facts apply to towers of height at least 2")
     n = spec.n
-    r8 = tower_residue(spec, FactoredNatural(8, ((2, 3),)), budget, seed=seed)
+    r8 = tower_residue(spec, FactoredNatural(8, ((2, 3),)))
     even_iff = (r8 % 2 == 0) == (n % 3 == 0 or n % 4 == 0)
     one_mod4 = r8 % 4 == 1 if (n % 2 and n % 3) else True
     zero_mod8 = r8 == 0 if n % 3 == 0 else True

@@ -117,7 +117,9 @@ def test_factor_budget_exceeded():
     p = 2**62 - 57  # prime
     q = 2**62 - 87  # prime
     assert is_prime(p) and is_prime(q)
-    with pytest.raises(FactorBudgetExceeded):
+    with pytest.raises(
+        FactorBudgetExceeded, match="budget 50 exhausted on a 38-digit cofactor"
+    ):
         factorize(p * q, budget=50)
 
 
@@ -153,6 +155,17 @@ def test_pisano_examples():
     assert pi_of(27) == 72
     with pytest.raises(ValueError):
         pisano_prime(9)  # composite
+
+
+def test_pisano_prime_bound_needs_rho():
+    # p == 4 (mod 5), so the bound is p - 1 = 2 * 100003 * 100403, whose two
+    # large primes lie past trial division
+    p = 20_081_202_419
+    assert pisano_prime(p) == p - 1
+    assert fib_pair_mod(p - 1, p) == (0, 1)
+    for q in (2, 100_003, 100_403):
+        assert is_prime(q) and (p - 1) % q == 0
+        assert fib_pair_mod((p - 1) // q, p) != (0, 1), q
 
 
 def test_pisano_brute_examples():

@@ -7,8 +7,15 @@ import pytest
 
 from fibtower import (
     CSV_COLUMNS,
+    AnalysisReport,
+    SweepReport,
+    SweepRow,
+    TowerSpec,
+    analysis_to_dict,
+    fib,
     parse_json,
     parse_range,
+    predicted_residue,
     render_csv,
     render_json,
     run_sweep,
@@ -72,6 +79,73 @@ def test_csv_layout():
 def test_csv_trivial_base_row():
     text = render_csv(run_sweep((3, 3), (1, 1), (2, 2)))
     assert text.strip().split("\n")[1] == "1,3,2,1,4,true,0,false,OUT_OF_RANGE,,true,ok"
+
+
+def test_reports_beyond_int_str_digit_limit():
+    # F_90^302, the chain modulus of analyze(2, 90, 300), has 5575 digits,
+    # above CPython's default int->str cap of 4300. The chain values are
+    # stand-ins of that size: serialization does not check the mathematics.
+    spec = TowerSpec(2, 90, 300)
+    fn = fib(90)
+    case, predicted = predicted_residue(spec)
+    modulus = fn**302
+    analysis = AnalysisReport(
+        spec=spec,
+        fn_value=fn,
+        expected_valuation=301,
+        divisibility_ok=True,
+        unit_residue=predicted,
+        exact=True,
+        case=case,
+        predicted_residue=predicted,
+        match=True,
+        trivial_base=False,
+        chain_summary=((2 * modulus, 2 * modulus), (modulus, 2 * modulus)),
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        fn_text, modulus_text = str(fn), str(modulus)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(modulus_text) == 5575
+    report = SweepReport(
+        tool_version="0.1.0",
+        seed=2971215073,
+        k_range=(2, 2),
+        n_range=(90, 90),
+        m_range=(300, 300),
+        rows=(SweepRow(spec=spec, report=analysis, status="ok"),),
+    )
+    text = render_json(report)
+    assert parse_json(text) == report
+    assert json.loads(text)["rows"][0]["chain"][1]["modulus"] == modulus_text
+    assert analysis_to_dict(analysis)["chain"][1]["modulus"] == modulus_text
+    assert render_csv(report).split("\n")[1].startswith(f"90,2,300,{fn_text},301,")
+
+
+@pytest.fixture(scope="module")
+def over_budget_sweep():
+    # factoring F_500 exhausts the default rho budget on a 53-digit cofactor
+    return run_sweep((3, 3), (500, 500), (1, 1))
+
+
+def test_budget_refusal_row_roundtrips(over_budget_sweep):
+    (row,) = over_budget_sweep.rows
+    assert row.status == "budget_exceeded" and row.report is None
+    assert over_budget_sweep.summary()["status"] == {"budget_exceeded": 1}
+    assert parse_json(render_json(over_budget_sweep)) == over_budget_sweep
+
+
+def test_budget_refusal_csv(over_budget_sweep):
+    lines = render_csv(over_budget_sweep).strip().split("\n")
+    assert lines[1:] == ["500,3,1,,,,,,,,,budget_exceeded"]
+
+
+def test_cli_analyze_budget_refusal_names_budget(capsys):
+    assert main(["analyze", "3", "500", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "rho budget 2000000 exhausted on a 53-digit cofactor" in err
 
 
 def test_sweep_jobs_deterministic_small():
