@@ -31,11 +31,15 @@ BRUTE_LIMIT = 10_000_000
 CROSSCHECK_LIMIT = 100_000
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _nonnegative(text: str) -> int:
+    """argparse type for integer arguments that may be 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid nonnegative integer value: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,23 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fib = sub.add_parser("fib", help="exact Fibonacci number")
-    p_fib.add_argument("index", type=_positive)
-    p_fib.add_argument("--max-index", type=_positive, default=None)
+    p_fib.add_argument("index", type=_nonnegative)
+    p_fib.add_argument("--max-index", type=_nonnegative, default=None)
 
     p_fibmod = sub.add_parser("fibmod", help="Fibonacci number modulo m")
-    p_fibmod.add_argument("index", type=_positive)
-    p_fibmod.add_argument("modulus", type=_positive)
+    p_fibmod.add_argument("index", type=_nonnegative)
+    p_fibmod.add_argument("modulus", type=_nonnegative)
 
     p_pisano = sub.add_parser("pisano", help="Pisano period of a modulus")
-    p_pisano.add_argument("modulus", type=_positive)
+    p_pisano.add_argument("modulus", type=_nonnegative)
     p_pisano.add_argument(
         "--method", choices=("brute", "factored", "auto"), default="auto"
     )
 
     p_analyze = sub.add_parser("analyze", help="analyze one tower spec")
-    p_analyze.add_argument("k", type=_positive)
-    p_analyze.add_argument("n", type=_positive)
-    p_analyze.add_argument("m", type=_positive)
+    p_analyze.add_argument("k", type=_nonnegative)
+    p_analyze.add_argument("n", type=_nonnegative)
+    p_analyze.add_argument("m", type=_nonnegative)
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
 
     p_sweep = sub.add_parser("sweep", help="analyze a parameter grid")
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=("identities", "lemmas", "oracle", "all"), default="all"
     )
-    p_verify.add_argument("--max-index", type=_positive, default=None)
+    p_verify.add_argument("--max-index", type=_nonnegative, default=None)
 
     return parser
 

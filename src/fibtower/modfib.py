@@ -10,8 +10,11 @@ power: the period of p^e divides p^(e-1) * period(p), and period(p)
 divides p - 1 or 2(p + 1) according to p mod 5. Each candidate from those
 bounds is minimized by explicit divisor descent, and the certified
 period is cached once per process under (p, e). By the CRT the period of
-M is the lcm of the periods of its prime-power parts. A chain re-checks
-the period property on each full modulus as the end-to-end check.
+M is the lcm of the periods of its prime-power parts. A chain checks the
+period property on each full modulus as the end-to-end check, and
+minimality against that lcm; a modulus that passes both becomes a
+certified link (modulus -> period), cached once per process, and later
+chains compare their level against the link instead of re-proving it.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
 always exact, i.e. on pi(p^2) = p * pi(p).
 """
@@ -276,11 +279,20 @@ def _is_period(t: int, m: int) -> bool:
 
 _period_cache: dict[tuple[int, int], FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
+# Certified chain links: full modulus value -> its minimal period, entered
+# only by a PisanoChain.verify that proved every level of its chain.
+_link_cache: dict[int, FactoredNatural] = {}
+_link_cache_lock = threading.Lock()
 
 
 def _cached_period(p: int, e: int) -> FactoredNatural | None:
     with _period_cache_lock:
         return _period_cache.get((p, e))
+
+
+def _certified_link(m: int) -> FactoredNatural | None:
+    with _link_cache_lock:
+        return _link_cache.get(m)
 
 
 def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatural:
@@ -394,27 +406,41 @@ class PisanoChain:
     def verify(self) -> None:
         """Certify every level and the linkage between levels.
 
-        Each level's period must have the period property on the full
-        modulus (the end-to-end check) and equal pisano_period of that
-        modulus, the lcm of certified minimal prime-power periods; since
-        every period is a multiple of the minimal one, the two together
-        prove minimality.
+        A level whose modulus is not yet a certified link must have the
+        period property on the full modulus (the end-to-end check) and
+        equal pisano_period of that modulus, the lcm of certified minimal
+        prime-power periods; since every period is a multiple of the
+        minimal one, the two together prove minimality. These two checks
+        run once per distinct modulus per process: a chain that passes
+        records its new links, and a later level on a linked modulus must
+        equal the certified period exactly. A chain that fails records
+        nothing. Linkage is checked on every chain.
         """
+        proved: dict[int, FactoredNatural] = {}
         for i, level in enumerate(self.levels):
             m = level.modulus.value
             t = level.period.value
-            if not _is_period(t, m):
-                raise FibTowerError(f"level {i + 1}: {t} is not a period mod {m}")
-            minimal = pisano_period(level.modulus).value
-            if t != minimal:
+            known = proved.get(m) or _certified_link(m)
+            if known is None:
+                if not _is_period(t, m):
+                    raise FibTowerError(f"level {i + 1}: {t} is not a period mod {m}")
+                minimal = pisano_period(level.modulus).value
+                if t != minimal:
+                    raise FibTowerError(
+                        f"level {i + 1}: period {t} mod {m} not minimal (the period is {minimal})"
+                    )
+                proved[m] = level.period
+            elif t != known.value:
                 raise FibTowerError(
-                    f"level {i + 1}: period {t} mod {m} not minimal (the period is {minimal})"
+                    f"level {i + 1}: period {t} mod {m} is not the certified period {known.value}"
                 )
             if i + 1 < len(self.levels):
                 if m != self.levels[i + 1].period.value:
                     raise FibTowerError(
                         f"level {i + 1} modulus {m} != level {i + 2} period"
                     )
+        with _link_cache_lock:
+            _link_cache.update(proved)
 
     def summary(self) -> tuple[tuple[int, int], ...]:
         return tuple((lvl.modulus.value, lvl.period.value) for lvl in self.levels)
@@ -423,16 +449,21 @@ class PisanoChain:
 def build_chain(k: int, target: FactoredNatural) -> PisanoChain:
     """Chain of k levels ending at target, built target-first, then verified.
 
-    Periods come from factorize under DEFAULT_FACTOR_BUDGET; raises
-    FactorBudgetExceeded when a period bound resists that budget.
+    A modulus that is already a certified link takes its cached period;
+    any other gets pisano_period, whose bounds come from factorize under
+    DEFAULT_FACTOR_BUDGET; raises FactorBudgetExceeded when a period bound
+    resists that budget. verify() proves the new links and records them.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
     levels: list[ChainLevel] = []
     cur = target
     for _ in range(k):
-        levels.append(ChainLevel(cur, pisano_period(cur)))
-        cur = levels[-1].period
+        period = _certified_link(cur.value)
+        if period is None:
+            period = pisano_period(cur)
+        levels.append(ChainLevel(cur, period))
+        cur = period
     chain = PisanoChain(tuple(reversed(levels)))
     chain.verify()
     return chain

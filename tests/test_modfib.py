@@ -1,6 +1,8 @@
 """Modular Fibonacci, factorization, Pisano periods, and chains."""
 
 import random
+import sys
+import threading
 from math import gcd, lcm
 
 import pytest
@@ -21,6 +23,7 @@ from fibtower import (
     pisano_period_brute,
     pisano_prime,
 )
+from fibtower import modfib
 from fibtower.modfib import ChainLevel
 
 FIBS = [0, 1]
@@ -230,6 +233,92 @@ def test_chain_verify_rejects_corruption():
         PisanoChain(
             (ChainLevel(factorize(8), factorize(12)), good.levels[1])
         ).verify()  # 12 is the period mod 8, but 8 != 24, the next level's period
+
+
+@pytest.fixture
+def cold_links(monkeypatch):
+    """An empty certified-link cache for one test; the process cache is restored."""
+    links = {}
+    monkeypatch.setattr(modfib, "_link_cache", links)
+    return links
+
+
+def chain_of(*pairs):
+    return PisanoChain(
+        tuple(ChainLevel(factorize(m), factorize(t)) for m, t in pairs)
+    )
+
+
+def test_chain_cold_and_warm_agree(cold_links):
+    target = factorize(fib(30)).power(5)
+    cold = build_chain(4, target)
+    assert set(cold_links) == {m for m, _ in cold.summary()}
+    warm = build_chain(4, target)
+    assert warm.summary() == cold.summary()
+    for m, t in warm.summary():
+        assert t == pisano_period(factorize(m)).value
+
+
+def test_cached_link_rejects_wrong_period(cold_links):
+    build_chain(2, factorize(9))
+    assert cold_links[24].value == 24
+    with pytest.raises(FibTowerError):
+        chain_of((24, 48)).verify()  # a period mod 24, but not the minimal one
+    with pytest.raises(FibTowerError):
+        chain_of((24, 12)).verify()  # not a period mod 24 at all
+    assert cold_links[24].value == 24
+
+
+def test_failed_verify_records_nothing(cold_links):
+    bad_period = chain_of((24, 48), (9, 24))
+    bad_linkage = chain_of((24, 24), (9, 48))  # (24, 24) is genuine
+    for bad in (bad_period, bad_linkage):
+        with pytest.raises(FibTowerError):
+            bad.verify()
+        assert cold_links == {}
+        with pytest.raises(FibTowerError):
+            bad.verify()
+    chain_of((24, 24), (9, 24)).verify()
+    assert {m: t.value for m, t in cold_links.items()} == {24: 24, 9: 24}
+
+
+def test_cached_links_do_not_excuse_broken_linkage(cold_links):
+    build_chain(2, factorize(9))
+    build_chain(1, factorize(8))
+    assert {8, 9, 24} <= set(cold_links)
+    with pytest.raises(FibTowerError):
+        chain_of((8, 12), (9, 24)).verify()  # both links certified, 8 != 24
+
+
+def test_link_cache_under_concurrent_chains(cold_links):
+    targets = [factorize(fib(n)).power(e) for n in (26, 27, 28) for e in (3, 4)]
+    expected = {t.value: build_chain(4, t).summary() for t in targets}
+    cold_links.clear()
+    results, errors = [], []
+
+    def work():
+        try:
+            for t in targets:
+                results.append((t.value, build_chain(4, t).summary()))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(results) == 4 * len(targets)
+    assert all(summary == expected[value] for value, summary in results)
+    linked = {m: t for chain in expected.values() for m, t in chain}
+    assert {m: t.value for m, t in cold_links.items()} == linked
 
 
 def test_chain_depth_validation():

@@ -1,9 +1,15 @@
-"""Hypothesis property tests: the chain route against the exact oracle."""
+"""Hypothesis property tests: the chain route against the exact oracle and
+against itself, and the command line's exit codes."""
+
+import contextlib
+import io
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibtower import TowerSpec, oracle_eval, oracle_feasible, tower_residue
+from fibtower.cli import main
 
 # Small enough that every feasible oracle value stays cheap to materialize.
 ORACLE_LIMIT = 10_000
@@ -20,3 +26,70 @@ def test_tower_residue_matches_oracle_at_random_probes(k, n, m, probe):
     spec = TowerSpec(k, n, m)
     assume(oracle_feasible(spec, ORACLE_LIMIT))
     assert tower_residue(spec, probe) == oracle_eval(spec, ORACLE_LIMIT).value % probe
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 40),
+    m=st.integers(1, 3),
+    a=st.integers(1, 3_000),
+    b=st.integers(1, 3_000),
+)
+def test_tower_residue_is_crt_consistent(k, n, m, a, b):
+    assume(gcd(a, b) == 1)
+    spec = TowerSpec(k, n, m)
+    r = tower_residue(spec, a * b)
+    assert r % a == tower_residue(spec, a)
+    assert r % b == tower_residue(spec, b)
+
+
+# Argument text: small integers of either sign, empty and non-numeric
+# strings, and arbitrary text of at most `chars` characters, which int()
+# reads as at most that many digits. Every command below stays fast on
+# these bounds.
+def arg(high, chars):
+    return st.one_of(
+        st.integers(-3, high).map(str),
+        st.sampled_from(["", "abc", "1.5", "0x10", "1e3", "-", "--", "..", " "]),
+        st.text(max_size=chars),
+    )
+
+
+def grid_range():
+    return st.one_of(
+        st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda r: f"{r[0]}..{r[1]}"),
+        arg(4, 1),
+    )
+
+
+ARGV = st.one_of(
+    st.tuples(st.just("fib"), arg(2_000, 3)),
+    st.tuples(st.just("fib"), arg(2_000, 3), st.just("--max-index"), arg(2_000, 3)),
+    st.tuples(st.just("fibmod"), arg(10**6, 3), arg(10**6, 3)),
+    st.tuples(
+        st.just("pisano"), arg(5_000, 3), st.just("--method"),
+        st.sampled_from(["brute", "factored", "auto", "fast", ""]),
+    ),
+    st.tuples(st.just("analyze"), arg(4, 1), arg(12, 1), arg(3, 1)),
+    st.tuples(
+        st.just("sweep"), st.just("--k"), grid_range(), st.just("--n"), grid_range(),
+        st.just("--m"), grid_range(), st.just("--jobs"), st.sampled_from(["-1", "0", "1", "x"]),
+    ),
+    st.lists(st.text(max_size=4), max_size=3),
+).map(list)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(argv=ARGV)
+def test_cli_exit_codes_on_malformed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    # 3 only from an exact-index budget set on the command line itself
+    assert code in (0, 2) or (code == 3 and "--max-index" in argv), (argv, code, message)
+    if code:
+        assert message
+    assert "Traceback" not in message
+    assert "_nonnegative" not in message

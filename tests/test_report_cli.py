@@ -208,6 +208,15 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_integer_argument_message(capsys):
+    for bad in ("abc", "-5", ""):
+        assert main(["fib", bad]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid nonnegative integer value: {bad!r}" in err
+        assert "_positive" not in err and "_nonnegative" not in err
+    assert main(["fib", "0"]) == 0
+
+
 def test_cli_brute_refused_beyond_desk_scale(capsys):
     assert main(["pisano", "50000000", "--method", "brute"]) == 3
     assert "refused" in capsys.readouterr().err
