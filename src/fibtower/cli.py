@@ -17,7 +17,15 @@ from .errors import BudgetExceeded, CapExceeded, FactorBudgetExceeded
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period, pisano_period_brute
 from .oracle import oracle_budget
-from .report import analysis_to_dict, parse_range, render_csv, render_json, run_sweep
+from .report import (
+    STATUS_OK,
+    analysis_status,
+    analysis_to_dict,
+    parse_range,
+    render_csv,
+    render_json,
+    run_sweep,
+)
 from .tower import TowerSpec, analyze
 from .verify import suites_for
 
@@ -32,14 +40,20 @@ CROSSCHECK_LIMIT = 100_000
 
 
 def _nonnegative(text: str) -> int:
-    """argparse type for integer arguments that may be 0."""
+    """argparse type for integer arguments that may be 0.
+
+    Accepts what int() accepts, and decimal digit strings of any length:
+    int() refuses more than 4300 digits, Decimal does not.
+    """
     try:
         value = int(text)
-        if value >= 0:
-            return value
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid nonnegative integer value: {text!r}")
+        digits = text.strip()
+        value = int(Decimal(digits)) if digits.isascii() and digits.isdigit() else -1
+    if value >= 0:
+        return value
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"invalid nonnegative integer value: {shown}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,9 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The commands print integers through Decimal, whose str is exempt from
+# sys.get_int_max_str_digits(), which by default refuses ints of more than
+# 4300 digits (F_n for n >= 20578, residues mod a 5000-digit modulus).
+
+
 def _cmd_fib(args) -> int:
-    # Decimal's str is exempt from sys.get_int_max_str_digits(), which by
-    # default refuses ints of more than 4300 digits (F_n for n >= 20578).
     print(Decimal(fib(args.index, max_index=args.max_index)))
     return EXIT_OK
 
@@ -98,7 +115,7 @@ def _cmd_fibmod(args) -> int:
     if args.modulus < 1:
         print("modulus must be positive", file=sys.stderr)
         return EXIT_USAGE
-    print(fib_mod(args.index, args.modulus))
+    print(Decimal(fib_mod(args.index, args.modulus)))
     return EXIT_OK
 
 
@@ -112,10 +129,10 @@ def _cmd_pisano(args) -> int:
             raise CapExceeded(
                 f"brute period search refused for modulus >= {BRUTE_LIMIT}"
             )
-        print(pisano_period_brute(m))
+        print(Decimal(pisano_period_brute(m)))
         return EXIT_OK
     if args.method == "factored":
-        print(pisano_period(factorize(m)).value)
+        print(Decimal(pisano_period(factorize(m)).value))
         return EXIT_OK
     # auto: factored first, brute as fallback and as cross-check when cheap
     try:
@@ -123,13 +140,12 @@ def _cmd_pisano(args) -> int:
     except FactorBudgetExceeded:
         if m >= BRUTE_LIMIT:
             raise
-        period = pisano_period_brute(m)
-        print(period)
+        print(Decimal(pisano_period_brute(m)))
         return EXIT_OK
     if m <= CROSSCHECK_LIMIT and period != pisano_period_brute(m):
         print(f"factored/brute disagreement for modulus {m}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(period)
+    print(Decimal(period))
     return EXIT_OK
 
 
@@ -162,8 +178,7 @@ def _cmd_analyze(args) -> int:
         print(json.dumps(analysis_to_dict(report), indent=2, sort_keys=True))
     else:
         print(_format_analysis(report))
-    ok = report.divisibility_ok and report.match
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if analysis_status(report) == STATUS_OK else EXIT_MISMATCH
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:

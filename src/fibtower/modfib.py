@@ -5,16 +5,18 @@ F_t == 0 and F_{t+1} == 1 (mod M); the indices satisfying that pair
 condition are exactly the multiples of the period, which is what makes
 the divisor-descent searches below sound.
 
-Periods are computed on factored moduli and certified once, per prime
-power: the period of p^e divides p^(e-1) * period(p), and period(p)
-divides p - 1 or 2(p + 1) according to p mod 5. Each candidate from those
-bounds is minimized by explicit divisor descent, and the certified
-period is cached once per process under (p, e). By the CRT the period of
-M is the lcm of the periods of its prime-power parts. A chain checks the
-period property on each full modulus as the end-to-end check, and
-minimality against that lcm; a modulus that passes both becomes a
-certified link (modulus -> period), cached once per process, and later
-chains compare their level against the link instead of re-proving it.
+Certified periods live in one per-process cache (modulus value -> period)
+under one lock. Every entry's period passed the period check on that exact
+modulus and is proved minimal. A prime power p^e enters by divisor
+descent: its period divides p^(e-1) * period(p), and period(p) divides
+p - 1 or 2(p + 1) according to p mod 5. Any other modulus enters only as a
+chain modulus: its period is the lcm of the certified periods of its
+prime-power parts (CRT, so minimal) and must pass the period check on the
+full modulus. pisano_period does not cache composite moduli.
+
+Residue soundness rests only on that full-modulus check: is_prime is
+probabilistic above ~3.3e24, but a chain level is used only when F_t == 0
+and F_{t+1} == 1 hold mod the level's own modulus.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
 always exact, i.e. on pi(p^2) = p * pi(p).
 """
@@ -73,7 +75,7 @@ def is_prime(n: int) -> bool:
         s += 1
     bases: tuple[int, ...] = _MR_BASES
     if n >= _MR_PROVEN_LIMIT:
-        rng = random.Random(f"mr:{n}")
+        rng = random.Random(f"mr:{Decimal(n)}")
         bases = bases + tuple(rng.randrange(2, n - 1) for _ in range(32))
     for a in bases:
         x = pow(a, d, n)
@@ -111,7 +113,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
     Deterministic for a fixed seed.
     """
     for attempt in range(64):
-        rng = random.Random(f"rho:{seed}:{n}:{attempt}")
+        rng = random.Random(f"rho:{seed}:{Decimal(n)}:{attempt}")
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -277,22 +279,13 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-_period_cache: dict[tuple[int, int], FactoredNatural] = {}
+_period_cache: dict[int, FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
-# Certified chain links: full modulus value -> its minimal period, entered
-# only by a PisanoChain.verify that proved every level of its chain.
-_link_cache: dict[int, FactoredNatural] = {}
-_link_cache_lock = threading.Lock()
 
 
-def _cached_period(p: int, e: int) -> FactoredNatural | None:
+def _cached(m: int) -> FactoredNatural | None:
     with _period_cache_lock:
-        return _period_cache.get((p, e))
-
-
-def _certified_link(m: int) -> FactoredNatural | None:
-    with _link_cache_lock:
-        return _link_cache.get(m)
+        return _period_cache.get(m)
 
 
 def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatural:
@@ -315,7 +308,7 @@ def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatura
             fac[q] -= 1
     result = FactoredNatural.from_factor_map(fac)
     with _period_cache_lock:
-        return _period_cache.setdefault((p, e), result)
+        return _period_cache.setdefault(m, result)
 
 
 def pisano_prime(p: int) -> int:
@@ -323,24 +316,25 @@ def pisano_prime(p: int) -> int:
 
     Search bound: p - 1 when p == +-1 (mod 5), 2(p + 1) when p == +-2,
     and 20 for p = 5; the minimal valid divisor of the bound is found by
-    descent and cached as the (p, 1) certificate.
+    descent and cached under p. Primality is tested first: the cache also
+    holds composite moduli.
     """
-    hit = _cached_period(p, 1)
-    if hit is not None:
-        return hit.value
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    hit = _cached(p)
+    if hit is not None:
+        return hit.value
     bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
     return _certify_period(p, 1, factorize(bound).factor_map()).value
 
 
 def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
     """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent."""
-    hit = _cached_period(p, e)
+    hit = _cached(p**e)
     if hit is not None:
         return hit
-    pisano_prime(p)  # certifies and caches (p, 1)
-    base = _cached_period(p, 1)
+    pisano_prime(p)  # certifies and caches p
+    base = _cached(p)
     if e == 1:
         return base
     candidate = base.factor_map()
@@ -352,15 +346,35 @@ def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
     By the CRT the period mod m is the lcm of the periods of its
-    prime-power parts, each of which is a certified minimal period from
-    the (p, e) cache; the result never leans on the open p^2 scaling
-    conjecture.
+    prime-power parts, each a certified minimal period from the cache;
+    the result never leans on the open p^2 scaling conjecture. Only the
+    prime-power parts are cached; m itself is not.
     """
     merged: dict[int, int] = {}
     for p, e in m.factors:
         for q, f in _pisano_prime_power(p, e).factors:
             merged[q] = max(merged.get(q, 0), f)
     return FactoredNatural.from_factor_map(merged)
+
+
+def _chain_period(modulus: FactoredNatural) -> FactoredNatural:
+    """Certified minimal period of a chain modulus, cached under its value.
+
+    A prime power keeps its descent entry. Any other modulus takes the
+    CRT lcm from pisano_period and must pass the period check on the full
+    modulus before it is recorded.
+    """
+    m = modulus.value
+    hit = _cached(m)
+    if hit is not None:
+        return hit
+    period = pisano_period(modulus)
+    if len(modulus.factors) == 1:
+        return period
+    if not _is_period(period.value, m):
+        raise FibTowerError(f"{period.value} is not a period mod {m}")
+    with _period_cache_lock:
+        return _period_cache.setdefault(m, period)
 
 
 def pisano_period_brute(m: int, cap: int | None = None) -> int:
@@ -404,43 +418,26 @@ class PisanoChain:
     levels: tuple[ChainLevel, ...]
 
     def verify(self) -> None:
-        """Certify every level and the linkage between levels.
+        """Check every level's period and the linkage between levels.
 
-        A level whose modulus is not yet a certified link must have the
-        period property on the full modulus (the end-to-end check) and
-        equal pisano_period of that modulus, the lcm of certified minimal
-        prime-power periods; since every period is a multiple of the
-        minimal one, the two together prove minimality. These two checks
-        run once per distinct modulus per process: a chain that passes
-        records its new links, and a later level on a linked modulus must
-        equal the certified period exactly. A chain that fails records
-        nothing. Linkage is checked on every chain.
+        Each level's period must equal the certified period of its modulus
+        (the one cache; a modulus not yet in it is certified and recorded
+        first), and each level's modulus must be the next level's period.
+        A claimed period is compared, never recorded.
         """
-        proved: dict[int, FactoredNatural] = {}
         for i, level in enumerate(self.levels):
             m = level.modulus.value
             t = level.period.value
-            known = proved.get(m) or _certified_link(m)
-            if known is None:
-                if not _is_period(t, m):
-                    raise FibTowerError(f"level {i + 1}: {t} is not a period mod {m}")
-                minimal = pisano_period(level.modulus).value
-                if t != minimal:
-                    raise FibTowerError(
-                        f"level {i + 1}: period {t} mod {m} not minimal (the period is {minimal})"
-                    )
-                proved[m] = level.period
-            elif t != known.value:
+            certified = _chain_period(level.modulus).value
+            if t != certified:
                 raise FibTowerError(
-                    f"level {i + 1}: period {t} mod {m} is not the certified period {known.value}"
+                    f"level {i + 1}: {t} is not the period mod {m} (the period is {certified})"
                 )
             if i + 1 < len(self.levels):
                 if m != self.levels[i + 1].period.value:
                     raise FibTowerError(
                         f"level {i + 1} modulus {m} != level {i + 2} period"
                     )
-        with _link_cache_lock:
-            _link_cache.update(proved)
 
     def summary(self) -> tuple[tuple[int, int], ...]:
         return tuple((lvl.modulus.value, lvl.period.value) for lvl in self.levels)
@@ -449,19 +446,17 @@ class PisanoChain:
 def build_chain(k: int, target: FactoredNatural) -> PisanoChain:
     """Chain of k levels ending at target, built target-first, then verified.
 
-    A modulus that is already a certified link takes its cached period;
-    any other gets pisano_period, whose bounds come from factorize under
-    DEFAULT_FACTOR_BUDGET; raises FactorBudgetExceeded when a period bound
-    resists that budget. verify() proves the new links and records them.
+    Each level takes the certified period of its modulus from the one
+    period cache, certifying and recording it on a miss; the bounds come
+    from factorize under DEFAULT_FACTOR_BUDGET, so this raises
+    FactorBudgetExceeded when a period bound resists that budget.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
     levels: list[ChainLevel] = []
     cur = target
     for _ in range(k):
-        period = _certified_link(cur.value)
-        if period is None:
-            period = pisano_period(cur)
+        period = _chain_period(cur)
         levels.append(ChainLevel(cur, period))
         cur = period
     chain = PisanoChain(tuple(reversed(levels)))

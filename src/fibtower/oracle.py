@@ -22,9 +22,15 @@ def oracle_budget(max_index: int | None = None) -> int:
     if max_index is not None:
         return max_index
     env = os.environ.get(ENV_MAX_INDEX)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ORACLE_MAX_INDEX
+    if env is None:
+        return DEFAULT_ORACLE_MAX_INDEX
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{ENV_MAX_INDEX} must be a nonnegative integer, got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,11 @@ class SweepReport:
         return {"status": by_status, "case": by_case, "branch": by_branch}
 
 
+def analysis_status(report: AnalysisReport) -> str:
+    """The row status of a finished analysis: ok or mismatch."""
+    return STATUS_OK if report.divisibility_ok and report.match else STATUS_MISMATCH
+
+
 def _evaluate_point(point: tuple[int, int, int]) -> SweepRow:
     n, k, m = point
     spec = TowerSpec(k=k, n=n, m=m)
@@ -90,8 +95,7 @@ def _evaluate_point(point: tuple[int, int, int]) -> SweepRow:
         report = analyze(spec)
     except (BudgetExceeded, FactorBudgetExceeded, CapExceeded):
         return SweepRow(spec=spec, report=None, status=STATUS_BUDGET)
-    ok = report.divisibility_ok and report.match
-    return SweepRow(spec=spec, report=report, status=STATUS_OK if ok else STATUS_MISMATCH)
+    return SweepRow(spec=spec, report=report, status=analysis_status(report))
 
 
 def run_sweep(
@@ -200,8 +204,7 @@ def _row_dict(row: SweepRow) -> dict:
 
 def analysis_to_dict(report: AnalysisReport) -> dict:
     """JSON-ready dict for a single analysis (decimal-string integers)."""
-    status = STATUS_OK if report.divisibility_ok and report.match else STATUS_MISMATCH
-    return _row_dict(SweepRow(spec=report.spec, report=report, status=status))
+    return _row_dict(SweepRow(spec=report.spec, report=report, status=analysis_status(report)))
 
 
 def _summary_dict(report: SweepReport) -> dict:

@@ -126,6 +126,19 @@ def test_factor_budget_exceeded():
         factorize(p * q, budget=50)
 
 
+def test_primality_and_rho_beyond_int_str_digit_limit():
+    # both derive their random parameters from n itself; str(n) refuses ints
+    # longer than the interpreter's limit (4300 digits by default, 640 at least)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert not is_prime(41**430)  # 694 digits, no prime factor below 41
+        with pytest.raises(FactorBudgetExceeded, match="on a 701-digit cofactor"):
+            factorize(100_003**140, budget=10)  # 100003 is past trial division
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_factored_natural_validation():
     with pytest.raises(ValueError):
         FactoredNatural(12, ((2, 1), (3, 1)))  # product is 6
@@ -237,9 +250,9 @@ def test_chain_verify_rejects_corruption():
 
 @pytest.fixture
 def cold_links(monkeypatch):
-    """An empty certified-link cache for one test; the process cache is restored."""
+    """An empty certified-period cache for one test; the process cache is restored."""
     links = {}
-    monkeypatch.setattr(modfib, "_link_cache", links)
+    monkeypatch.setattr(modfib, "_period_cache", links)
     return links
 
 
@@ -249,10 +262,22 @@ def chain_of(*pairs):
     )
 
 
+def assert_certified(cache):
+    """Every entry is the minimal period of its key, proved without the cache."""
+    for m, period in cache.items():
+        t = period.value
+        if m <= 100_000:
+            assert t == pisano_period_brute(m), m
+        assert fib_pair_mod(t, m) == (0, 1 % m), m
+        for q, _ in period.factors:
+            assert fib_pair_mod(t // q, m) != (0, 1 % m), (m, q)
+
+
 def test_chain_cold_and_warm_agree(cold_links):
     target = factorize(fib(30)).power(5)
     cold = build_chain(4, target)
-    assert set(cold_links) == {m for m, _ in cold.summary()}
+    assert {m for m, _ in cold.summary()} <= set(cold_links)
+    assert_certified(cold_links)
     warm = build_chain(4, target)
     assert warm.summary() == cold.summary()
     for m, t in warm.summary():
@@ -269,17 +294,19 @@ def test_cached_link_rejects_wrong_period(cold_links):
     assert cold_links[24].value == 24
 
 
-def test_failed_verify_records_nothing(cold_links):
+def test_failed_verify_caches_no_claimed_period(cold_links):
     bad_period = chain_of((24, 48), (9, 24))
     bad_linkage = chain_of((24, 24), (9, 48))  # (24, 24) is genuine
     for bad in (bad_period, bad_linkage):
         with pytest.raises(FibTowerError):
             bad.verify()
-        assert cold_links == {}
+        assert 48 not in {t.value for t in cold_links.values()}
+        assert_certified(cold_links)
         with pytest.raises(FibTowerError):
             bad.verify()
     chain_of((24, 24), (9, 24)).verify()
-    assert {m: t.value for m, t in cold_links.items()} == {24: 24, 9: 24}
+    assert {24, 9} <= set(cold_links)
+    assert_certified(cold_links)
 
 
 def test_cached_links_do_not_excuse_broken_linkage(cold_links):
@@ -290,7 +317,51 @@ def test_cached_links_do_not_excuse_broken_linkage(cold_links):
         chain_of((8, 12), (9, 24)).verify()  # both links certified, 8 != 24
 
 
-def test_link_cache_under_concurrent_chains(cold_links):
+def test_chain_refuses_a_lcm_that_is_not_a_period(cold_links):
+    # a faulty prime-power entry (the period mod 3 is 8, not 4) makes the
+    # CRT lcm for 24 equal 12, which only the full-modulus check catches
+    cold_links[3] = factorize(4)
+    with pytest.raises(FibTowerError):
+        build_chain(1, factorize(24))
+    assert 24 not in cold_links
+
+
+def test_pisano_prime_refuses_a_cached_composite(cold_links):
+    build_chain(2, factorize(9))
+    assert cold_links[9].value == 24
+    with pytest.raises(ValueError):
+        pisano_prime(9)
+
+
+def test_prime_power_chain_checks_its_modulus_only_in_descent(
+    cold_links, monkeypatch
+):
+    m = 7**3
+    depth = [0]
+    calls = []
+    is_period, certify = modfib._is_period, modfib._certify_period
+
+    def spy_is_period(t, modulus):
+        if modulus == m:
+            calls.append(depth[0])
+        return is_period(t, modulus)
+
+    def spy_certify(*args):
+        depth[0] += 1
+        try:
+            return certify(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    monkeypatch.setattr(modfib, "_certify_period", spy_certify)
+    chain = build_chain(1, factorize(m))
+    assert chain.summary() == ((m, pisano_period_brute(m)),)
+    assert calls and all(calls)
+    assert cold_links[m].value == pisano_period_brute(m)
+
+
+def test_period_cache_under_concurrent_chains(cold_links):
     targets = [factorize(fib(n)).power(e) for n in (26, 27, 28) for e in (3, 4)]
     expected = {t.value: build_chain(4, t).summary() for t in targets}
     cold_links.clear()
@@ -318,7 +389,8 @@ def test_link_cache_under_concurrent_chains(cold_links):
     assert len(results) == 4 * len(targets)
     assert all(summary == expected[value] for value, summary in results)
     linked = {m: t for chain in expected.values() for m, t in chain}
-    assert {m: t.value for m, t in cold_links.items()} == linked
+    assert all(cold_links[m].value == t for m, t in linked.items())
+    assert_certified(cold_links)
 
 
 def test_chain_depth_validation():

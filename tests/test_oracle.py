@@ -71,6 +71,14 @@ def test_oracle_env_override(monkeypatch):
     assert oracle_budget(12) == 12
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+def test_oracle_env_override_rejects_non_integers(value, monkeypatch):
+    monkeypatch.setenv("FIBTOWER_MAX_INDEX", value)
+    with pytest.raises(ValueError, match="FIBTOWER_MAX_INDEX must be a nonnegative integer"):
+        oracle_budget()
+    assert oracle_budget(12) == 12  # an explicit budget does not read the variable
+
+
 def test_oracle_agrees_with_chain_engine_small():
     for k, n, m in ((2, 6, 1), (2, 7, 2), (3, 3, 2), (3, 4, 1), (4, 3, 1)):
         spec = TowerSpec(k, n, m)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -198,6 +199,15 @@ def test_cli_fibmod_and_pisano(capsys):
     assert capsys.readouterr().out == "100\n"
 
 
+def test_cli_fibmod_beyond_int_str_digit_limit(capsys):
+    # a 5000-digit modulus: int() refuses to parse it, str() to print the residue
+    text = "1" * 5000
+    modulus = int(Decimal(text))
+    assert main(["fibmod", "1000000", text]) == 0
+    out = capsys.readouterr().out
+    assert int(Decimal(out)) == fib(1_000_000) % modulus
+
+
 def test_cli_usage_errors(capsys):
     assert main(["fib"]) == 2
     assert main(["fib", "-5"]) == 2
@@ -214,7 +224,20 @@ def test_cli_integer_argument_message(capsys):
         err = capsys.readouterr().err
         assert f"invalid nonnegative integer value: {bad!r}" in err
         assert "_positive" not in err and "_nonnegative" not in err
+    assert main(["fib", "x" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid nonnegative integer value: {'x' * 20!r}... (5000 characters)" in err
+    assert len(err) < 1000
     assert main(["fib", "0"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_cli_verify_rejects_bad_oracle_budget_variable(value, monkeypatch, capsys):
+    monkeypatch.setenv("FIBTOWER_MAX_INDEX", value)
+    assert main(["verify", "--suite", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert f"FIBTOWER_MAX_INDEX must be a nonnegative integer, got {value!r}" in err
+    assert "int()" not in err
 
 
 def test_cli_brute_refused_beyond_desk_scale(capsys):
