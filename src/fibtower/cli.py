@@ -13,7 +13,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded, FactorBudgetExceeded
+from .errors import BudgetExceeded, CapExceeded
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period, pisano_period_brute
 from .oracle import oracle_budget
@@ -134,14 +134,8 @@ def _cmd_pisano(args) -> int:
     if args.method == "factored":
         print(Decimal(pisano_period(factorize(m)).value))
         return EXIT_OK
-    # auto: factored first, brute as fallback and as cross-check when cheap
-    try:
-        period = pisano_period(factorize(m)).value
-    except FactorBudgetExceeded:
-        if m >= BRUTE_LIMIT:
-            raise
-        print(Decimal(pisano_period_brute(m)))
-        return EXIT_OK
+    # auto: factored, and cross-checked by brute force when cheap
+    period = pisano_period(factorize(m)).value
     if m <= CROSSCHECK_LIMIT and period != pisano_period_brute(m):
         print(f"factored/brute disagreement for modulus {m}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -241,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args, parser)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (BudgetExceeded, FactorBudgetExceeded, CapExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

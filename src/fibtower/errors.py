@@ -8,14 +8,15 @@ class FibTowerError(Exception):
 
 
 class BudgetExceeded(FibTowerError):
-    """An exact computation was refused because an index exceeds its budget."""
+    """A computation was refused for exceeding a budget; this class itself
+    names the exact-index budget, the subclasses name the others."""
 
 
-class FactorBudgetExceeded(FibTowerError):
+class FactorBudgetExceeded(BudgetExceeded):
     """A composite cofactor resisted the budgeted factoring effort."""
 
 
-class CapExceeded(FibTowerError):
+class CapExceeded(BudgetExceeded):
     """Brute-force period search gave up before the cap."""
 
 

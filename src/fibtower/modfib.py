@@ -107,11 +107,14 @@ def _budget_exhausted(budget: int, n: int) -> FactorBudgetExceeded:
 def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
     """One nontrivial factor of odd composite n via Brent's cycle method.
 
-    used counts the rho iterations already spent against budget by the
-    same factorization. Returns (factor, used) with this call's iterations
-    added; raises FactorBudgetExceeded once used passes budget.
-    Deterministic for a fixed seed.
+    used counts the budget units already spent by the same factorization.
+    One iteration costs 1 unit below 512 bits and grows with the square of
+    the size of n above that, as a multiplication mod n does. Returns
+    (factor, used) with this call's units added; raises
+    FactorBudgetExceeded once used passes budget. Deterministic for a
+    fixed seed.
     """
+    cost = max(1, n.bit_length() ** 2 >> 18)
     for attempt in range(64):
         rng = random.Random(f"rho:{seed}:{Decimal(n)}:{attempt}")
         y = rng.randrange(1, n)
@@ -123,7 +126,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            used += r
+            used += r * cost
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -132,7 +135,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += m
-            used += min(r, k)
+            used += min(r, k) * cost
             r *= 2
             if used > budget:
                 raise _budget_exhausted(budget, n)
@@ -142,7 +145,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
-                used += 1
+                used += cost
                 if used > budget:
                     raise _budget_exhausted(budget, n)
         if g != n:
@@ -219,10 +222,11 @@ def factorize(
 ) -> FactoredNatural:
     """Complete factorization: trial division, then Brent rho on what remains.
 
-    Deterministic for a fixed seed. budget caps the rho iterations spent
-    on all cofactors together; FactorBudgetExceeded names it and the
-    cofactor that exhausted it, which signals that the requested
-    parameters are beyond desk scale.
+    Deterministic for a fixed seed. budget caps the rho work spent on all
+    cofactors together, in iterations weighted by cofactor size (see
+    _brent_rho); FactorBudgetExceeded names it and the cofactor that
+    exhausted it, which signals that the requested parameters are beyond
+    desk scale.
     """
     if x < 1:
         raise ValueError("x must be positive")
@@ -401,64 +405,53 @@ def pisano_period_brute(m: int, cap: int | None = None) -> int:
 
 
 @dataclass(frozen=True)
-class ChainLevel:
-    modulus: FactoredNatural
-    period: FactoredNatural
-
-
-@dataclass(frozen=True)
 class PisanoChain:
-    """Descending modulus list: each level's modulus is the next level's period.
+    """Descending modulus sequence of a tower evaluation.
 
-    levels[0] is the tower base, levels[-1] the target modulus. Evaluating
-    a Fibonacci index tower mod the target only ever needs indices reduced
-    mod the level below, which is what this chain encodes.
+    moduli[-1] is the target modulus, and every other entry is the
+    certified period of the entry after it, so moduli[0] is the bottom
+    period. Evaluating a Fibonacci index tower mod moduli[i] only ever
+    needs indices reduced mod moduli[i - 1], which is what this chain
+    encodes.
     """
 
-    levels: tuple[ChainLevel, ...]
+    moduli: tuple[FactoredNatural, ...]
 
     def verify(self) -> None:
-        """Check every level's period and the linkage between levels.
+        """Check that every entry is the certified period of the next.
 
-        Each level's period must equal the certified period of its modulus
-        (the one cache; a modulus not yet in it is certified and recorded
-        first), and each level's modulus must be the next level's period.
-        A claimed period is compared, never recorded.
+        One comparison per level: entry i must equal the certified period
+        of entry i + 1 (the one cache; a modulus not yet in it is certified
+        and recorded first). A claimed period is compared, never recorded.
         """
-        for i, level in enumerate(self.levels):
-            m = level.modulus.value
-            t = level.period.value
-            certified = _chain_period(level.modulus).value
+        for i, (period, modulus) in enumerate(zip(self.moduli, self.moduli[1:])):
+            t = period.value
+            certified = _chain_period(modulus).value
             if t != certified:
                 raise FibTowerError(
-                    f"level {i + 1}: {t} is not the period mod {m} (the period is {certified})"
+                    f"level {i + 1}: {t} is not the period mod {modulus.value}"
+                    f" (the period is {certified})"
                 )
-            if i + 1 < len(self.levels):
-                if m != self.levels[i + 1].period.value:
-                    raise FibTowerError(
-                        f"level {i + 1} modulus {m} != level {i + 2} period"
-                    )
 
     def summary(self) -> tuple[tuple[int, int], ...]:
-        return tuple((lvl.modulus.value, lvl.period.value) for lvl in self.levels)
+        """(modulus, period) per level, bottom level first."""
+        values = [modulus.value for modulus in self.moduli]
+        return tuple(zip(values[1:], values))
 
 
 def build_chain(k: int, target: FactoredNatural) -> PisanoChain:
     """Chain of k levels ending at target, built target-first, then verified.
 
-    Each level takes the certified period of its modulus from the one
-    period cache, certifying and recording it on a miss; the bounds come
-    from factorize under DEFAULT_FACTOR_BUDGET, so this raises
-    FactorBudgetExceeded when a period bound resists that budget.
+    Each entry below target is the certified period of the entry above it,
+    taken from the one period cache and certified and recorded on a miss;
+    the period bounds come from factorize under DEFAULT_FACTOR_BUDGET, so
+    this raises FactorBudgetExceeded when a bound resists that budget.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
-    levels: list[ChainLevel] = []
-    cur = target
+    moduli = [target]
     for _ in range(k):
-        period = _chain_period(cur)
-        levels.append(ChainLevel(cur, period))
-        cur = period
-    chain = PisanoChain(tuple(reversed(levels)))
+        moduli.append(_chain_period(moduli[-1]))
+    chain = PisanoChain(tuple(reversed(moduli)))
     chain.verify()
     return chain

@@ -1,7 +1,9 @@
 """Brute-force ground truth: exact tower values for desk-scale indices.
 
 Independent of the Pisano-chain engine on purpose; the two routes are
-compared wherever both can run.
+compared wherever both can run. Feasibility walks the tower's indices
+only; an evaluation walks them the same way and then computes the tower
+value once.
 """
 
 from __future__ import annotations
@@ -53,43 +55,36 @@ class OracleResult:
     quotient_residue: int
 
 
-def _ladder(spec: TowerSpec, limit: int, *, compute: bool) -> tuple[bool, int, int]:
-    """Walk the index ladder; returns (feasible, top_index, value).
+def _ladder(spec: TowerSpec, limit: int) -> int | BudgetExceeded:
+    """Walk the tower's indices n*G(1), ..., n*G(k-1) against the budget.
 
-    With compute=False the walk exits early and value is meaningless;
-    intermediate Fibonacci numbers are only materialized while the next
-    index can still fit the budget.
+    Returns the top index when every index fits limit (for k = 1 there is
+    no index to walk and the top index is n). Otherwise returns, unraised,
+    the BudgetExceeded naming the first level whose index exceeds limit.
+    Only the Fibonacci numbers below the top index are materialized, never
+    the tower value itself.
     """
     k, n, m = spec.k, spec.n, spec.m
     if k == 1:
-        return True, n, fib(n) ** m if compute else 0
+        return n
     if n > limit:
-        return False, n, 0
-    g = fib(n) ** m
-    top = n
+        # the level-2 index n*F_n^m is at least n
+        return BudgetExceeded(f"index at level 2 exceeds budget {limit}")
+    top = n * fib(n) ** m
     for level in range(2, k + 1):
-        top = n * g
         if top > limit:
-            if compute:
-                raise BudgetExceeded(
-                    f"index {top} at level {level} exceeds budget {limit}"
-                )
-            return False, top, 0
-        if level < k and fib_exceeds(top, limit):
-            # the next index n*F_top would already overflow the budget
-            if compute:
-                raise BudgetExceeded(
-                    f"index at level {level + 1} exceeds budget {limit}"
-                )
-            return False, top, 0
-        g = fib(top, max_index=limit)
-    return True, top, g
+            return BudgetExceeded(f"index {top} at level {level} exceeds budget {limit}")
+        if level < k:
+            if fib_exceeds(top, limit):
+                # the next index n*F_top would already overflow the budget
+                return BudgetExceeded(f"index at level {level + 1} exceeds budget {limit}")
+            top = n * fib(top, max_index=limit)
+    return top
 
 
 def oracle_feasible(spec: TowerSpec, max_index: int | None = None) -> bool:
     """True iff oracle_eval would stay within the index budget."""
-    feasible, _, _ = _ladder(spec, oracle_budget(max_index), compute=False)
-    return feasible
+    return not isinstance(_ladder(spec, oracle_budget(max_index)), BudgetExceeded)
 
 
 def oracle_eval(spec: TowerSpec, max_index: int | None = None) -> OracleResult:
@@ -98,8 +93,11 @@ def oracle_eval(spec: TowerSpec, max_index: int | None = None) -> OracleResult:
     Raises BudgetExceeded naming the level at which an index overflowed.
     """
     limit = oracle_budget(max_index)
-    _, top, value = _ladder(spec, limit, compute=True)
+    top = _ladder(spec, limit)
+    if isinstance(top, BudgetExceeded):
+        raise top
     fn = fib(spec.n)
+    value = fn**spec.m if spec.k == 1 else fib(top, max_index=limit)
     lead = spec.k + spec.m - 1
     if fn == 1:
         return OracleResult(

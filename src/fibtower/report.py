@@ -15,7 +15,7 @@ from decimal import Decimal
 from itertools import product
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded, FactorBudgetExceeded
+from .errors import BudgetExceeded
 from .modfib import DEFAULT_FACTOR_SEED
 from .tower import AnalysisReport, CaseTag, TowerSpec, analyze, branch_label
 
@@ -93,7 +93,7 @@ def _evaluate_point(point: tuple[int, int, int]) -> SweepRow:
     spec = TowerSpec(k=k, n=n, m=m)
     try:
         report = analyze(spec)
-    except (BudgetExceeded, FactorBudgetExceeded, CapExceeded):
+    except BudgetExceeded:
         return SweepRow(spec=spec, report=None, status=STATUS_BUDGET)
     return SweepRow(spec=spec, report=report, status=analysis_status(report))
 

@@ -135,9 +135,10 @@ def _chain_residue(
     """Tower value mod target, one Fibonacci evaluation per level, and the
     verified depth-k chain it was evaluated on."""
     chain = build_chain(spec.k, target)
-    r = pow(fn, spec.m, chain.levels[0].modulus.value)
-    for below, level in zip(chain.levels, chain.levels[1:]):
-        r = fib_mod((spec.n * r) % below.modulus.value, level.modulus.value)
+    moduli = [modulus.value for modulus in chain.moduli]
+    r = pow(fn, spec.m, moduli[1])
+    for below, modulus in zip(moduli[1:], moduli[2:]):
+        r = fib_mod((spec.n * r) % below, modulus)
     return r, chain
 
 

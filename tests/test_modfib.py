@@ -24,7 +24,6 @@ from fibtower import (
     pisano_prime,
 )
 from fibtower import modfib
-from fibtower.modfib import ChainLevel
 
 FIBS = [0, 1]
 while len(FIBS) <= 10_000:
@@ -231,21 +230,19 @@ def test_chain_examples():
     assert two.summary() == ((24, 24), (9, 24))
 
 
+def chain_of(*moduli):
+    """The chain whose modulus sequence is moduli, bottom period first."""
+    return PisanoChain(tuple(factorize(m) for m in moduli))
+
+
 def test_chain_verify_rejects_corruption():
-    good = build_chain(2, factorize(9))
-    bad = PisanoChain(
-        (ChainLevel(factorize(24), factorize(48)), good.levels[1])
-    )
-    with pytest.raises(FibTowerError):
-        bad.verify()  # 48 is a period mod 24 but not minimal
-    with pytest.raises(FibTowerError):
-        PisanoChain(
-            (ChainLevel(factorize(23), factorize(24)), good.levels[1])
-        ).verify()  # 24 is not a period mod 23
-    with pytest.raises(FibTowerError):
-        PisanoChain(
-            (ChainLevel(factorize(8), factorize(12)), good.levels[1])
-        ).verify()  # 12 is the period mod 8, but 8 != 24, the next level's period
+    assert build_chain(2, factorize(9)).moduli == chain_of(24, 24, 9).moduli
+    with pytest.raises(FibTowerError, match="level 1: 48 is not the period mod 24"):
+        chain_of(48, 24, 9).verify()  # 48 is a period mod 24 but not minimal
+    with pytest.raises(FibTowerError, match="level 1: 24 is not the period mod 23"):
+        chain_of(24, 23, 9).verify()  # 24 is not a period mod 23
+    with pytest.raises(FibTowerError, match="level 2: 8 is not the period mod 9"):
+        chain_of(12, 8, 9).verify()  # 12 is the period mod 8, but 8 is not 24
 
 
 @pytest.fixture
@@ -254,12 +251,6 @@ def cold_links(monkeypatch):
     links = {}
     monkeypatch.setattr(modfib, "_period_cache", links)
     return links
-
-
-def chain_of(*pairs):
-    return PisanoChain(
-        tuple(ChainLevel(factorize(m), factorize(t)) for m, t in pairs)
-    )
 
 
 def assert_certified(cache):
@@ -287,16 +278,16 @@ def test_chain_cold_and_warm_agree(cold_links):
 def test_cached_link_rejects_wrong_period(cold_links):
     build_chain(2, factorize(9))
     assert cold_links[24].value == 24
-    with pytest.raises(FibTowerError):
-        chain_of((24, 48)).verify()  # a period mod 24, but not the minimal one
-    with pytest.raises(FibTowerError):
-        chain_of((24, 12)).verify()  # not a period mod 24 at all
+    with pytest.raises(FibTowerError, match="level 1: 48 "):
+        chain_of(48, 24).verify()  # a period mod 24, but not the minimal one
+    with pytest.raises(FibTowerError, match="level 1: 12 "):
+        chain_of(12, 24).verify()  # not a period mod 24 at all
     assert cold_links[24].value == 24
 
 
 def test_failed_verify_caches_no_claimed_period(cold_links):
-    bad_period = chain_of((24, 48), (9, 24))
-    bad_linkage = chain_of((24, 24), (9, 48))  # (24, 24) is genuine
+    bad_period = chain_of(48, 24, 9)
+    bad_linkage = chain_of(24, 48, 9)  # 24 is the period mod 48, 48 not mod 9
     for bad in (bad_period, bad_linkage):
         with pytest.raises(FibTowerError):
             bad.verify()
@@ -304,7 +295,7 @@ def test_failed_verify_caches_no_claimed_period(cold_links):
         assert_certified(cold_links)
         with pytest.raises(FibTowerError):
             bad.verify()
-    chain_of((24, 24), (9, 24)).verify()
+    chain_of(24, 24, 9).verify()
     assert {24, 9} <= set(cold_links)
     assert_certified(cold_links)
 
@@ -313,8 +304,8 @@ def test_cached_links_do_not_excuse_broken_linkage(cold_links):
     build_chain(2, factorize(9))
     build_chain(1, factorize(8))
     assert {8, 9, 24} <= set(cold_links)
-    with pytest.raises(FibTowerError):
-        chain_of((8, 12), (9, 24)).verify()  # both links certified, 8 != 24
+    with pytest.raises(FibTowerError, match="level 2: 8 "):
+        chain_of(12, 8, 9).verify()  # both links certified, 8 != 24
 
 
 def test_chain_refuses_a_lcm_that_is_not_a_period(cold_links):

@@ -12,6 +12,7 @@ from fibtower import (
     oracle_feasible,
     tower_residue,
 )
+from fibtower import oracle
 
 
 def test_oracle_example_2_4_1():
@@ -60,6 +61,21 @@ def test_oracle_budget_error_names_level():
     with pytest.raises(BudgetExceeded) as err:
         oracle_eval(TowerSpec(3, 7, 1), 10**6)
     assert "level 3" in str(err.value)
+    with pytest.raises(BudgetExceeded) as err:
+        oracle_eval(TowerSpec(2, 10, 1), 5)  # n itself is over the budget
+    assert "level 2" in str(err.value)
+
+
+def test_oracle_feasible_never_computes_the_top_value(monkeypatch):
+    indices = []
+
+    def spy_fib(i, **kwargs):
+        indices.append(i)
+        return fib(i, **kwargs)
+
+    monkeypatch.setattr(oracle, "fib", spy_fib)
+    assert oracle_feasible(TowerSpec(3, 5, 1), 10**6)  # top index 375 125
+    assert indices and max(indices) < 375_125
 
 
 def test_oracle_env_override(monkeypatch):

@@ -8,7 +8,7 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibtower import TowerSpec, oracle_eval, oracle_feasible, tower_residue
+from fibtower import BudgetExceeded, TowerSpec, oracle_eval, oracle_feasible, tower_residue
 from fibtower.cli import main
 
 # Small enough that every feasible oracle value stays cheap to materialize.
@@ -26,6 +26,23 @@ def test_tower_residue_matches_oracle_at_random_probes(k, n, m, probe):
     spec = TowerSpec(k, n, m)
     assume(oracle_feasible(spec, ORACLE_LIMIT))
     assert tower_residue(spec, probe) == oracle_eval(spec, ORACLE_LIMIT).value % probe
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 15),
+    m=st.integers(1, 2),
+    limit=st.integers(1, 10**5),
+)
+def test_oracle_feasible_iff_eval_stays_in_budget(k, n, m, limit):
+    spec = TowerSpec(k, n, m)
+    try:
+        oracle_eval(spec, limit)
+    except BudgetExceeded:
+        assert not oracle_feasible(spec, limit), (spec, limit)
+    else:
+        assert oracle_feasible(spec, limit), (spec, limit)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
