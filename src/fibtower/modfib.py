@@ -10,11 +10,15 @@ under one lock. Every entry's period passed the period check on that exact
 modulus and is proved minimal. A prime power p^e enters by divisor
 descent: its period divides p^(e-1) * period(p), and period(p) divides
 p - 1 or 2(p + 1) according to p mod 5. Any other modulus enters only as a
-chain modulus: its period is the lcm of the certified periods of its
-prime-power parts (CRT, so minimal) and must pass the period check on the
-full modulus. pisano_period does not cache composite moduli.
+chain modulus, in build_chain's one certifying walk: its period is the lcm
+of the certified periods of its prime-power parts (CRT, so minimal) and
+must pass the period check on the full modulus. pisano_period does not
+cache composite moduli.
 
-Residue soundness rests only on that full-modulus check: is_prime is
+A chain is a plain tuple of moduli, bottom period first and target last,
+each entry certified as the period of the next when the walk reached it;
+nothing re-checks a chain afterwards, and no path takes a claimed period.
+Residue soundness rests only on the full-modulus checks: is_prime is
 probabilistic above ~3.3e24, but a chain level is used only when F_t == 0
 and F_{t+1} == 1 hold mod the level's own modulus.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
@@ -361,26 +365,6 @@ def pisano_period(m: FactoredNatural) -> FactoredNatural:
     return FactoredNatural.from_factor_map(merged)
 
 
-def _chain_period(modulus: FactoredNatural) -> FactoredNatural:
-    """Certified minimal period of a chain modulus, cached under its value.
-
-    A prime power keeps its descent entry. Any other modulus takes the
-    CRT lcm from pisano_period and must pass the period check on the full
-    modulus before it is recorded.
-    """
-    m = modulus.value
-    hit = _cached(m)
-    if hit is not None:
-        return hit
-    period = pisano_period(modulus)
-    if len(modulus.factors) == 1:
-        return period
-    if not _is_period(period.value, m):
-        raise FibTowerError(f"{period.value} is not a period mod {m}")
-    with _period_cache_lock:
-        return _period_cache.setdefault(m, period)
-
-
 def pisano_period_brute(m: int, cap: int | None = None) -> int:
     """Period mod m by direct pair iteration; independent of the factored path.
 
@@ -404,54 +388,31 @@ def pisano_period_brute(m: int, cap: int | None = None) -> int:
 # ----------------------------- period chains -----------------------------
 
 
-@dataclass(frozen=True)
-class PisanoChain:
-    """Descending modulus sequence of a tower evaluation.
+def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
+    """Modulus sequence of a depth-k tower evaluation ending at target.
 
-    moduli[-1] is the target modulus, and every other entry is the
-    certified period of the entry after it, so moduli[0] is the bottom
-    period. Evaluating a Fibonacci index tower mod moduli[i] only ever
-    needs indices reduced mod moduli[i - 1], which is what this chain
-    encodes.
-    """
-
-    moduli: tuple[FactoredNatural, ...]
-
-    def verify(self) -> None:
-        """Check that every entry is the certified period of the next.
-
-        One comparison per level: entry i must equal the certified period
-        of entry i + 1 (the one cache; a modulus not yet in it is certified
-        and recorded first). A claimed period is compared, never recorded.
-        """
-        for i, (period, modulus) in enumerate(zip(self.moduli, self.moduli[1:])):
-            t = period.value
-            certified = _chain_period(modulus).value
-            if t != certified:
-                raise FibTowerError(
-                    f"level {i + 1}: {t} is not the period mod {modulus.value}"
-                    f" (the period is {certified})"
-                )
-
-    def summary(self) -> tuple[tuple[int, int], ...]:
-        """(modulus, period) per level, bottom level first."""
-        values = [modulus.value for modulus in self.moduli]
-        return tuple(zip(values[1:], values))
-
-
-def build_chain(k: int, target: FactoredNatural) -> PisanoChain:
-    """Chain of k levels ending at target, built target-first, then verified.
-
-    Each entry below target is the certified period of the entry above it,
-    taken from the one period cache and certified and recorded on a miss;
-    the period bounds come from factorize under DEFAULT_FACTOR_BUDGET, so
-    this raises FactorBudgetExceeded when a bound resists that budget.
+    Returns k + 1 moduli, bottom period first and target last; every entry
+    but the last is the certified minimal period of the entry after it.
+    This is the one certifying walk, built target-first: each level is a
+    cache hit or, on a miss, the CRT lcm from pisano_period. A prime power
+    was certified by its descent; any other modulus must also pass the
+    period check on the full modulus before it is recorded. The period
+    bounds come from factorize under DEFAULT_FACTOR_BUDGET, so this raises
+    FactorBudgetExceeded when a bound resists that budget.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
     moduli = [target]
     for _ in range(k):
-        moduli.append(_chain_period(moduli[-1]))
-    chain = PisanoChain(tuple(reversed(moduli)))
-    chain.verify()
-    return chain
+        modulus = moduli[-1]
+        m = modulus.value
+        period = _cached(m)
+        if period is None:
+            period = pisano_period(modulus)
+            if len(modulus.factors) > 1:
+                if not _is_period(period.value, m):
+                    raise FibTowerError(f"{period.value} is not a period mod {m}")
+                with _period_cache_lock:
+                    period = _period_cache.setdefault(m, period)
+        moduli.append(period)
+    return tuple(modulus.value for modulus in reversed(moduli))

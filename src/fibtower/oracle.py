@@ -44,7 +44,7 @@ class OracleResult:
     after dividing out F_n^valuation, reduced mod F_n; quotient_residue
     is (value / F_n^(k+m-1)) mod F_n, the quantity the chain analysis
     reports. top_index is the index of the final Fibonacci evaluation
-    (for k = 1 no evaluation happens and it is just n).
+    (for k = 1 that is F_n, so it is just n).
     """
 
     spec: TowerSpec
@@ -58,18 +58,18 @@ class OracleResult:
 def _ladder(spec: TowerSpec, limit: int) -> int | BudgetExceeded:
     """Walk the tower's indices n*G(1), ..., n*G(k-1) against the budget.
 
-    Returns the top index when every index fits limit (for k = 1 there is
-    no index to walk and the top index is n). Otherwise returns, unraised,
+    Returns the top index when every index fits limit (for k = 1 the top
+    index is n, the index of F_n). Otherwise returns, unraised,
     the BudgetExceeded naming the first level whose index exceeds limit.
     Only the Fibonacci numbers below the top index are materialized, never
     the tower value itself.
     """
     k, n, m = spec.k, spec.n, spec.m
+    if n > limit:
+        # F_n is the level-1 value, and the level-2 index n*F_n^m is at least n
+        return BudgetExceeded(f"index at level {min(k, 2)} exceeds budget {limit}")
     if k == 1:
         return n
-    if n > limit:
-        # the level-2 index n*F_n^m is at least n
-        return BudgetExceeded(f"index at level 2 exceeds budget {limit}")
     top = n * fib(n) ** m
     for level in range(2, k + 1):
         if top > limit:
@@ -96,7 +96,7 @@ def oracle_eval(spec: TowerSpec, max_index: int | None = None) -> OracleResult:
     top = _ladder(spec, limit)
     if isinstance(top, BudgetExceeded):
         raise top
-    fn = fib(spec.n)
+    fn = fib(spec.n, max_index=limit)
     value = fn**spec.m if spec.k == 1 else fib(top, max_index=limit)
     lead = spec.k + spec.m - 1
     if fn == 1:

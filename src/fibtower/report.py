@@ -9,6 +9,7 @@ the values routinely exceed 64-bit ranges.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -106,8 +107,9 @@ def run_sweep(
 ) -> SweepReport:
     """Analyze every grid point; rows come back in (n, k, m) order.
 
-    With jobs > 1 the points are mapped over a process pool; map order is
-    preserved, so the report is identical to a serial run.
+    With jobs > 1 the points are mapped over a process pool of at most
+    jobs, point-count and CPU-count workers; map order is preserved, so the
+    report is identical to a serial run.
     """
     for lo, hi in (k_range, n_range, m_range):
         if lo > hi or lo < 1:
@@ -119,9 +121,11 @@ def run_sweep(
             range(m_range[0], m_range[1] + 1),
         )
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(points) // (jobs * 4))
+    # a fork-started pool forks all its workers at the first submit
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(points) // (workers * 4))
             rows = tuple(pool.map(_evaluate_point, points, chunksize=chunk))
     else:
         rows = tuple(_evaluate_point(p) for p in points)

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import FibTowerError
 from .fibcore import fib
-from .modfib import FactoredNatural, PisanoChain, build_chain, factorize, fib_mod
+from .modfib import FactoredNatural, build_chain, factorize, fib_mod
 
 
 @dataclass(frozen=True)
@@ -129,17 +129,17 @@ class AnalysisReport:
     chain_summary: tuple[tuple[int, int], ...]
 
 
-def _chain_residue(
-    spec: TowerSpec, target: FactoredNatural, fn: int
-) -> tuple[int, PisanoChain]:
-    """Tower value mod target, one Fibonacci evaluation per level, and the
-    verified depth-k chain it was evaluated on."""
-    chain = build_chain(spec.k, target)
-    moduli = [modulus.value for modulus in chain.moduli]
+def _chain_residue(spec: TowerSpec, moduli: tuple[int, ...], fn: int) -> int:
+    """Tower value mod moduli[-1], one Fibonacci evaluation per level.
+
+    moduli is any k + 1 ints in which each entry is a period, minimal or
+    not, of the next: each level's index is reduced mod the modulus one
+    level down.
+    """
     r = pow(fn, spec.m, moduli[1])
     for below, modulus in zip(moduli[1:], moduli[2:]):
         r = fib_mod((spec.n * r) % below, modulus)
-    return r, chain
+    return r
 
 
 def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
@@ -150,7 +150,7 @@ def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
     """
     if not isinstance(modulus, FactoredNatural):
         modulus = factorize(modulus)
-    return _chain_residue(spec, modulus, fib(spec.n))[0]
+    return _chain_residue(spec, build_chain(spec.k, modulus), fib(spec.n))
 
 
 def analyze(spec: TowerSpec) -> AnalysisReport:
@@ -175,13 +175,13 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        target = factorize(fn).power(k + m)
-        x, chain = _chain_residue(spec, target, fn)
+        moduli = build_chain(k, factorize(fn).power(k + m))
+        x = _chain_residue(spec, moduli, fn)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0
         unit = quotient % fn if divisibility_ok else None
-        chain_summary = chain.summary()
+        chain_summary = tuple(zip(moduli[1:], moduli))
     return AnalysisReport(
         spec=spec,
         fn_value=fn,

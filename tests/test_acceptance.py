@@ -19,6 +19,7 @@ from fibtower import (
     build_chain,
     factorize,
     fib,
+    fib_pair_mod,
     oracle_eval,
     oracle_feasible,
     pisano_period,
@@ -201,11 +202,18 @@ def test_acceptance_07_pisano_correctness():
         if pisano_period(factorize(m)).value != brute[m]
     ]
     assert not mismatches, f"period mismatches at: {mismatches[:10]}"
-    # every chain the sweeps use passes the period + minimality verification
+    # every chain the sweeps use ends at its target, and each entry is the
+    # minimal period of the next, proved here without the period cache
     verified = 0
     for n, k, m in product(range(3, 26), range(1, 7), range(1, 4)):
         target = factorize(fib(n)).power(k + m)
-        build_chain(k, target).verify()
+        chain = build_chain(k, target)
+        assert len(chain) == k + 1 and chain[-1] == target.value
+        for t, modulus in zip(chain, chain[1:]):
+            one = (0, 1 % modulus)
+            assert fib_pair_mod(t, modulus) == one, (n, k, m, t, modulus)
+            for q, _ in factorize(t).factors:
+                assert fib_pair_mod(t // q, modulus) != one, (n, k, m, t, q)
         verified += 1
     _report(
         f"PASS pisano correctness: {PISANO_LIMIT} moduli, "

@@ -12,7 +12,6 @@ from fibtower import (
     FactorBudgetExceeded,
     FactoredNatural,
     FibTowerError,
-    PisanoChain,
     build_chain,
     factorize,
     fib,
@@ -222,27 +221,9 @@ def test_pisano_lcm_on_coprime_parts():
 
 
 def test_chain_examples():
-    chain = build_chain(3, factorize(16))
-    assert chain.summary() == ((24, 24), (24, 24), (16, 24))
-    single = build_chain(1, factorize(97))
-    assert single.summary() == ((97, pi_of(97)),)
-    two = build_chain(2, factorize(9))
-    assert two.summary() == ((24, 24), (9, 24))
-
-
-def chain_of(*moduli):
-    """The chain whose modulus sequence is moduli, bottom period first."""
-    return PisanoChain(tuple(factorize(m) for m in moduli))
-
-
-def test_chain_verify_rejects_corruption():
-    assert build_chain(2, factorize(9)).moduli == chain_of(24, 24, 9).moduli
-    with pytest.raises(FibTowerError, match="level 1: 48 is not the period mod 24"):
-        chain_of(48, 24, 9).verify()  # 48 is a period mod 24 but not minimal
-    with pytest.raises(FibTowerError, match="level 1: 24 is not the period mod 23"):
-        chain_of(24, 23, 9).verify()  # 24 is not a period mod 23
-    with pytest.raises(FibTowerError, match="level 2: 8 is not the period mod 9"):
-        chain_of(12, 8, 9).verify()  # 12 is the period mod 8, but 8 is not 24
+    assert build_chain(3, factorize(16)) == (24, 24, 24, 16)
+    assert build_chain(1, factorize(97)) == (pi_of(97), 97)
+    assert build_chain(2, factorize(9)) == (24, 24, 9)
 
 
 @pytest.fixture
@@ -267,45 +248,13 @@ def assert_certified(cache):
 def test_chain_cold_and_warm_agree(cold_links):
     target = factorize(fib(30)).power(5)
     cold = build_chain(4, target)
-    assert {m for m, _ in cold.summary()} <= set(cold_links)
+    assert len(cold) == 5 and cold[-1] == target.value
+    assert set(cold[1:]) <= set(cold_links)
     assert_certified(cold_links)
     warm = build_chain(4, target)
-    assert warm.summary() == cold.summary()
-    for m, t in warm.summary():
+    assert warm == cold
+    for t, m in zip(warm, warm[1:]):
         assert t == pisano_period(factorize(m)).value
-
-
-def test_cached_link_rejects_wrong_period(cold_links):
-    build_chain(2, factorize(9))
-    assert cold_links[24].value == 24
-    with pytest.raises(FibTowerError, match="level 1: 48 "):
-        chain_of(48, 24).verify()  # a period mod 24, but not the minimal one
-    with pytest.raises(FibTowerError, match="level 1: 12 "):
-        chain_of(12, 24).verify()  # not a period mod 24 at all
-    assert cold_links[24].value == 24
-
-
-def test_failed_verify_caches_no_claimed_period(cold_links):
-    bad_period = chain_of(48, 24, 9)
-    bad_linkage = chain_of(24, 48, 9)  # 24 is the period mod 48, 48 not mod 9
-    for bad in (bad_period, bad_linkage):
-        with pytest.raises(FibTowerError):
-            bad.verify()
-        assert 48 not in {t.value for t in cold_links.values()}
-        assert_certified(cold_links)
-        with pytest.raises(FibTowerError):
-            bad.verify()
-    chain_of(24, 24, 9).verify()
-    assert {24, 9} <= set(cold_links)
-    assert_certified(cold_links)
-
-
-def test_cached_links_do_not_excuse_broken_linkage(cold_links):
-    build_chain(2, factorize(9))
-    build_chain(1, factorize(8))
-    assert {8, 9, 24} <= set(cold_links)
-    with pytest.raises(FibTowerError, match="level 2: 8 "):
-        chain_of(12, 8, 9).verify()  # both links certified, 8 != 24
 
 
 def test_chain_refuses_a_lcm_that_is_not_a_period(cold_links):
@@ -346,22 +295,21 @@ def test_prime_power_chain_checks_its_modulus_only_in_descent(
 
     monkeypatch.setattr(modfib, "_is_period", spy_is_period)
     monkeypatch.setattr(modfib, "_certify_period", spy_certify)
-    chain = build_chain(1, factorize(m))
-    assert chain.summary() == ((m, pisano_period_brute(m)),)
+    assert build_chain(1, factorize(m)) == (pisano_period_brute(m), m)
     assert calls and all(calls)
     assert cold_links[m].value == pisano_period_brute(m)
 
 
 def test_period_cache_under_concurrent_chains(cold_links):
     targets = [factorize(fib(n)).power(e) for n in (26, 27, 28) for e in (3, 4)]
-    expected = {t.value: build_chain(4, t).summary() for t in targets}
+    expected = {t.value: build_chain(4, t) for t in targets}
     cold_links.clear()
     results, errors = [], []
 
     def work():
         try:
             for t in targets:
-                results.append((t.value, build_chain(4, t).summary()))
+                results.append((t.value, build_chain(4, t)))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -378,8 +326,8 @@ def test_period_cache_under_concurrent_chains(cold_links):
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert len(results) == 4 * len(targets)
-    assert all(summary == expected[value] for value, summary in results)
-    linked = {m: t for chain in expected.values() for m, t in chain}
+    assert all(chain == expected[value] for value, chain in results)
+    linked = {m: t for chain in expected.values() for t, m in zip(chain, chain[1:])}
     assert all(cold_links[m].value == t for m, t in linked.items())
     assert_certified(cold_links)
 

@@ -66,6 +66,15 @@ def test_oracle_budget_error_names_level():
     assert "level 2" in str(err.value)
 
 
+def test_oracle_height_one_respects_the_budget():
+    spec = TowerSpec(1, 100, 1)  # the value F_100 needs index 100
+    assert not oracle_feasible(spec, 50)
+    with pytest.raises(BudgetExceeded, match="level 1"):
+        oracle_eval(spec, 50)
+    assert oracle_feasible(TowerSpec(1, 50, 1), 50)
+    assert oracle_eval(TowerSpec(1, 50, 1), 50).top_index == 50
+
+
 def test_oracle_feasible_never_computes_the_top_value(monkeypatch):
     indices = []
 

@@ -1,6 +1,8 @@
 """Sweep reports (JSON/CSV) and the command-line interface."""
 
+import hashlib
 import json
+import os
 import sys
 from decimal import Decimal
 
@@ -21,6 +23,7 @@ from fibtower import (
     render_json,
     run_sweep,
 )
+from fibtower import report
 from fibtower.cli import main
 
 
@@ -153,6 +156,49 @@ def test_sweep_jobs_deterministic_small():
     serial = run_sweep((2, 4), (2, 8), (1, 2), jobs=1)
     parallel = run_sweep((2, 4), (2, 8), (1, 2), jobs=2)
     assert render_json(serial) == render_json(parallel)
+
+
+def test_sweep_pool_never_outgrows_points_or_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool; evaluates in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    one_point = ((2, 2), (3, 3), (1, 1))
+    assert run_sweep(*one_point, jobs=64) == run_sweep(*one_point)
+    assert pools == []  # a single point needs no pool
+    grid = ((2, 3), (3, 12), (1, 2))  # 40 points
+    assert run_sweep(*grid, jobs=64) == run_sweep(*grid)
+    run_sweep(*grid, jobs=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_sweep(*grid, jobs=64)
+    assert pools == [(4, 2), (3, 3)]
+
+
+def test_sweep_wide_report_bytes_are_pinned():
+    # the sweep_wide benchmark grid; any change to these bytes is a change
+    # of the report format or of a computed value
+    rep = run_sweep((2, 8), (26, 90), (1, 3))
+    assert len(rep.rows) == 1365
+    digest = hashlib.sha256(render_json(rep).encode()).hexdigest()
+    assert digest == "b90dceb7b1c3092dd30498da23ee0454b93260b6f62b26ec11f6a5bdfe789c37"
+    digest = hashlib.sha256(render_csv(rep).encode()).hexdigest()
+    assert digest == "2e111914200235b2ee0d2a17c382396dcc54c0dd7894ceec857e87f6b78b540e"
 
 
 # --------------------------------- CLI ---------------------------------
