@@ -9,7 +9,11 @@ Certified periods live in one per-process cache (modulus value -> period)
 under one lock. Every entry's period passed the period check on that exact
 modulus and is proved minimal. A prime power p^e enters by divisor
 descent: its period divides p^(e-1) * period(p), and period(p) divides
-p - 1 or 2(p + 1) according to p mod 5. Any other modulus enters only as a
+p - 1 or 2(p + 1) according to p mod 5. A prime of F_n gets a smaller
+candidate from factorize_fib: F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so
+period(F_n), and with it period(p), divides 4n (Carmichael 1913; Wall
+1960), and it is descended from the 4d of the first F_d that p divides,
+never from p - 1 or 2(p + 1). Any other modulus enters only as a
 chain modulus, in build_chain's one certifying walk: its period is the lcm
 of the certified periods of its prime-power parts (CRT, so minimal) and
 must pass the period check on the full modulus. pisano_period does not
@@ -34,6 +38,7 @@ from decimal import Decimal
 from math import gcd, isqrt
 
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
+from .fibcore import fib
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 # Seed for the rho cycle parameters; fixed so runs are reproducible, and
@@ -116,7 +121,8 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
     the size of n above that, as a multiplication mod n does. Returns
     (factor, used) with this call's units added; raises
     FactorBudgetExceeded once used passes budget. Deterministic for a
-    fixed seed.
+    fixed seed, and the same whatever used it starts from: used decides
+    only whether it raises.
     """
     cost = max(1, n.bit_length() ** 2 >> 18)
     for attempt in range(64):
@@ -155,7 +161,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
         if g != n:
             return g, used
     raise FactorBudgetExceeded(
-        f"rho failed to split a {_digits(n)}-digit cofactor after 64 restarts"
+        f"rho failed after 64 restarts to split a {_digits(n)}-digit cofactor"
     )
 
 
@@ -235,13 +241,22 @@ def factorize(
     if x < 1:
         raise ValueError("x must be positive")
     found: dict[int, int] = {}
+    _factor_into(found, x, budget, seed, 0)
+    return FactoredNatural.from_factor_map(found)
+
+
+def _factor_into(
+    found: dict[int, int], x: int, budget: int, seed: int, used: int
+) -> int:
+    """Add the prime factorization of x >= 1 to found; returns used plus
+    the rho units spent. Trial division, then is_prime and Brent rho on
+    what remains."""
     for p in _trial_primes():
         if p * p > x:
             break
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
-    used = 0
     stack = [x] if x > 1 else []
     while stack:
         v = stack.pop()
@@ -251,7 +266,7 @@ def factorize(
         d, used = _brent_rho(v, seed, budget, used)
         stack.append(d)
         stack.append(v // d)
-    return FactoredNatural.from_factor_map(found)
+    return used
 
 
 # ------------------------- modular Fibonacci -------------------------
@@ -383,6 +398,89 @@ def pisano_period_brute(m: int, cap: int | None = None) -> int:
         a, b = b, (a + b) % m
         t += 1
     raise CapExceeded(f"no period of modulus {m} within cap {cap}")
+
+
+# ----------------------------- factoring F_n -----------------------------
+
+# d -> (primes of the primitive part of F_d, rho units spent finding them).
+# Successes only: a refusal is never recorded.
+_primitive_cache: dict[int, tuple[tuple[int, ...], int]] = {}
+_primitive_cache_lock = threading.Lock()
+
+
+def _divisors(n: int) -> list[int]:
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low + [n // d for d in low]))
+
+
+def _primitive_primes(
+    d: int, known: list[int], used: int
+) -> tuple[tuple[int, ...], int]:
+    """Primes of F_d that divide no F_e with e < d, and used plus their units.
+
+    known holds (at least) every prime of F_e for the proper divisors e of d.
+    A cached entry is taken only when its units fit what is left of the
+    budget; otherwise the part is factored again from used, which refuses
+    exactly where a process without the entry would. A refusal names F_d.
+    """
+    with _primitive_cache_lock:
+        hit = _primitive_cache.get(d)
+    if hit is not None and used + hit[1] <= DEFAULT_FACTOR_BUDGET:
+        return hit[0], used + hit[1]
+    part = fib(d)
+    for p in known:
+        while part % p == 0:
+            part //= p
+    found: dict[int, int] = {}
+    try:
+        total = _factor_into(
+            found, part, DEFAULT_FACTOR_BUDGET, DEFAULT_FACTOR_SEED, used
+        )
+    except FactorBudgetExceeded as exc:
+        raise FactorBudgetExceeded(f"{exc} of F_{d}") from None
+    entry = (tuple(sorted(found)), total - used)
+    with _primitive_cache_lock:
+        _primitive_cache.setdefault(d, entry)
+    return entry[0], total
+
+
+def factorize_fib(n: int) -> FactoredNatural:
+    """Complete factorization of F_n, built from its primitive parts.
+
+    Every prime of F_n divides F_d first at exactly one d | n, so taking
+    the divisors in increasing order and dividing out of F_d the primes
+    already found leaves F_d's primitive part, which gets factorize's
+    treatment; the exponents in F_n then come by exact division. The
+    primes of each part are cached per process with the rho units spent
+    on them, and F_n is charged the sum of those units over d | n against
+    DEFAULT_FACTOR_BUDGET, cached or not, so whether and how it refuses
+    depends on n alone. Each prime's period is certified (and cached) by
+    descent from 4d, a period of F_d and hence of the prime, so the chain
+    never factors p - 1 or 2(p + 1) for a prime of F_n.
+    """
+    if n < 1:
+        raise ValueError("index must be positive")
+    primes: list[int] = []
+    used = 0
+    for d in _divisors(n):
+        found, used = _primitive_primes(d, primes, used)
+        fresh = [p for p in found if _cached(p) is None]
+        if fresh:
+            candidate = factorize(4 * d).factor_map()
+            for p in fresh:
+                _certify_period(p, 1, candidate)
+        primes.extend(found)
+    fn = fib(n)
+    exponents: dict[int, int] = {}
+    for p in primes:
+        e = 0
+        while fn % p == 0:
+            fn //= p
+            e += 1
+        exponents[p] = e
+    if fn != 1:
+        raise FibTowerError(f"primitive parts of F_{n} leave a cofactor")
+    return FactoredNatural.from_factor_map(exponents)
 
 
 # ----------------------------- period chains -----------------------------

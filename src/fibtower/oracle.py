@@ -70,16 +70,30 @@ def _ladder(spec: TowerSpec, limit: int) -> int | BudgetExceeded:
         return BudgetExceeded(f"index at level {min(k, 2)} exceeds budget {limit}")
     if k == 1:
         return n
-    top = n * fib(n) ** m
-    for level in range(2, k + 1):
-        if top > limit:
-            return BudgetExceeded(f"index {top} at level {level} exceeds budget {limit}")
-        if level < k:
-            if fib_exceeds(top, limit):
-                # the next index n*F_top would already overflow the budget
-                return BudgetExceeded(f"index at level {level + 1} exceeds budget {limit}")
-            top = n * fib(top, max_index=limit)
+    # Every index is n times a Fibonacci power, so it exceeds limit iff the
+    # power exceeds limit // n. F_i is compared with that bound before it is
+    # computed, so no value much larger than the budget is materialized, and
+    # no index goes into a message.
+    bound = limit // n
+    power = None if fib_exceeds(n, bound) else _power_within(fib(n), m, bound)
+    if power is None:
+        return BudgetExceeded(f"index at level 2 exceeds budget {limit}")
+    top = n * power
+    for level in range(3, k + 1):
+        if fib_exceeds(top, bound):
+            return BudgetExceeded(f"index at level {level} exceeds budget {limit}")
+        top = n * fib(top, max_index=limit)
     return top
+
+
+def _power_within(base: int, e: int, bound: int) -> int | None:
+    """base**e, or None once it exceeds bound; built one factor at a time."""
+    power = 1
+    for _ in range(e if base > 1 else 0):
+        power *= base
+        if power > bound:
+            return None
+    return power
 
 
 def oracle_feasible(spec: TowerSpec, max_index: int | None = None) -> bool:

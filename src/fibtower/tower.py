@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import FibTowerError
 from .fibcore import fib
-from .modfib import FactoredNatural, build_chain, factorize, fib_mod
+from .modfib import FactoredNatural, build_chain, factorize, factorize_fib, fib_mod
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,9 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
-    Factoring F_n and the chain periods runs under DEFAULT_FACTOR_BUDGET;
-    raises FactorBudgetExceeded when a cofactor resists it.
+    F_n is factored by factorize_fib and the chain periods under
+    DEFAULT_FACTOR_BUDGET; raises FactorBudgetExceeded when a cofactor
+    resists it.
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -175,7 +176,7 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        moduli = build_chain(k, factorize(fn).power(k + m))
+        moduli = build_chain(k, factorize_fib(n).power(k + m))
         x = _chain_residue(spec, moduli, fn)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement

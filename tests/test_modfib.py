@@ -14,6 +14,7 @@ from fibtower import (
     FibTowerError,
     build_chain,
     factorize,
+    factorize_fib,
     fib,
     fib_mod,
     fib_pair_mod,
@@ -137,6 +138,91 @@ def test_primality_and_rho_beyond_int_str_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_factorize_fib_equals_factorize():
+    for n in [*range(1, 151), 200, 300, 400]:
+        assert factorize_fib(n) == factorize(fib(n)), n
+
+
+@pytest.fixture
+def cold_primitive_parts(monkeypatch):
+    """An empty primitive-part cache for one test; the process cache is restored."""
+    parts = {}
+    monkeypatch.setattr(modfib, "_primitive_cache", parts)
+    return parts
+
+
+def refusal(n):
+    with pytest.raises(FactorBudgetExceeded) as err:
+        factorize_fib(n)
+    return str(err.value)
+
+
+def test_factorize_fib_refusal_ignores_a_warm_cache(cold_primitive_parts):
+    cold = refusal(500)
+    assert cold == "rho budget 2000000 exhausted on a 33-digit cofactor of F_500"
+    factorize_fib(100)
+    factorize_fib(250)
+    assert {100, 250} <= set(cold_primitive_parts)
+    assert 500 not in cold_primitive_parts  # refusals are never recorded
+    assert refusal(500) == cold
+
+
+def test_factorize_fib_charges_cached_parts(cold_primitive_parts, monkeypatch):
+    # F*_77 and F*_91 cost 894 and 1662 rho units: each fits a budget of
+    # 2000 alone, together they do not, so F_1001 (7 * 11 * 13) is refused
+    # on F_91's part whether those parts were cached or not
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 2000)
+    cold = refusal(1001)
+    assert cold == "rho budget 2000 exhausted on a 15-digit cofactor of F_91"
+    factorize_fib(77)
+    factorize_fib(91)
+    assert refusal(1001) == cold
+
+
+def test_factorize_fib_refusal_ignores_call_order(cold_primitive_parts):
+    alone = refusal(1000)
+    cold_primitive_parts.clear()
+    refusal(500)
+    assert refusal(1000) == alone
+
+
+def test_primitive_cache_under_concurrent_factorizations(cold_primitive_parts):
+    ns = (60, 84, 90, 120, 168, 180, 240)
+    expected = {n: factorize(fib(n)) for n in ns}
+    results, errors = [], []
+
+    def work():
+        try:
+            for n in ns:
+                results.append((n, factorize_fib(n)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(results) == 4 * len(ns)
+    assert all(fac == expected[n] for n, fac in results)
+
+    def primes_of(i):
+        return {p for p, _ in factorize(fib(i)).factors}
+
+    # each entry holds exactly the primes of F_d that divide no F_e, e | d, e < d
+    assert set(cold_primitive_parts) == {d for n in ns for d in range(1, n + 1) if n % d == 0}
+    for d, (primes, _) in cold_primitive_parts.items():
+        older = set().union(*(primes_of(e) for e in range(1, d) if d % e == 0))
+        assert set(primes) == primes_of(d) - older, d
+
+
 def test_factored_natural_validation():
     with pytest.raises(ValueError):
         FactoredNatural(12, ((2, 1), (3, 1)))  # product is 6
@@ -243,6 +329,14 @@ def assert_certified(cache):
         assert fib_pair_mod(t, m) == (0, 1 % m), m
         for q, _ in period.factors:
             assert fib_pair_mod(t // q, m) != (0, 1 % m), (m, q)
+
+
+def test_factorize_fib_certifies_prime_periods_from_4n(cold_links):
+    # so a chain over F_n never factors p - 1 or 2(p + 1) for its primes
+    fac = factorize_fib(180)
+    assert set(cold_links) == {p for p, _ in fac.factors}
+    assert all(4 * 180 % cold_links[p].value == 0 for p in cold_links)
+    assert_certified(cold_links)
 
 
 def test_chain_cold_and_warm_agree(cold_links):

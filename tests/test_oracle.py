@@ -66,6 +66,19 @@ def test_oracle_budget_error_names_level():
     assert "level 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "spec, limit",
+    [
+        (TowerSpec(2, 60_000_000, 1), 10**9),  # F_n is past fib's own index budget
+        (TowerSpec(2, 10, 3000), None),  # the level-2 index has 5200 digits
+    ],
+)
+def test_oracle_refuses_level_two_without_computing_it(spec, limit):
+    assert not oracle_feasible(spec, limit)
+    with pytest.raises(BudgetExceeded, match="level 2"):
+        oracle_eval(spec, limit)
+
+
 def test_oracle_height_one_respects_the_budget():
     spec = TowerSpec(1, 100, 1)  # the value F_100 needs index 100
     assert not oracle_feasible(spec, 50)

@@ -1,14 +1,22 @@
 """Hypothesis property tests: the chain route against the exact oracle and
-against itself, and the command line's exit codes."""
+against itself, factorization, and the command line's exit codes."""
 
 import contextlib
 import io
-from math import gcd
+from math import gcd, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibtower import BudgetExceeded, TowerSpec, oracle_eval, oracle_feasible, tower_residue
+from fibtower import (
+    BudgetExceeded,
+    TowerSpec,
+    factorize,
+    is_prime,
+    oracle_eval,
+    oracle_feasible,
+    tower_residue,
+)
 from fibtower.cli import main
 
 # Small enough that every feasible oracle value stays cheap to materialize.
@@ -59,6 +67,18 @@ def test_tower_residue_is_crt_consistent(k, n, m, a, b):
     r = tower_residue(spec, a * b)
     assert r % a == tower_residue(spec, a)
     assert r % b == tower_residue(spec, b)
+
+
+# Products of up to four factors below 10^9: every prime left after trial
+# division is below 10^9, so rho splits each composite well within budget.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(parts=st.lists(st.integers(1, 10**9), min_size=1, max_size=4))
+def test_factorize_round_trip(parts):
+    x = prod(parts)
+    fac = factorize(x, seed=1)
+    assert fac.value == x == prod(p**e for p, e in fac.factors)
+    assert all(is_prime(p) for p, _ in fac.factors)
+    assert factorize(x, seed=2) == fac
 
 
 # Argument text: small integers of either sign, empty and non-numeric

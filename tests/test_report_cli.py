@@ -130,7 +130,8 @@ def test_reports_beyond_int_str_digit_limit():
 
 @pytest.fixture(scope="module")
 def over_budget_sweep():
-    # factoring F_500 exhausts the default rho budget on a 53-digit cofactor
+    # factoring F_500 exhausts the default rho budget on a 33-digit cofactor
+    # of its primitive part
     return run_sweep((3, 3), (500, 500), (1, 1))
 
 
@@ -149,12 +150,20 @@ def test_budget_refusal_csv(over_budget_sweep):
 def test_cli_analyze_budget_refusal_names_budget(capsys):
     assert main(["analyze", "3", "500", "1"]) == 3
     err = capsys.readouterr().err
-    assert "rho budget 2000000 exhausted on a 53-digit cofactor" in err
+    assert "rho budget 2000000 exhausted on a 33-digit cofactor of F_500" in err
 
 
 def test_sweep_jobs_deterministic_small():
     serial = run_sweep((2, 4), (2, 8), (1, 2), jobs=1)
     parallel = run_sweep((2, 4), (2, 8), (1, 2), jobs=2)
+    assert render_json(serial) == render_json(parallel)
+
+
+def test_sweep_with_a_refusal_and_n_600_is_jobs_independent():
+    # F_600 factors through its primitive parts; F_601 is refused
+    serial = run_sweep((3, 3), (600, 601), (1, 1), jobs=1)
+    parallel = run_sweep((3, 3), (600, 601), (1, 1), jobs=2)
+    assert [row.status for row in serial.rows] == ["ok", "budget_exceeded"]
     assert render_json(serial) == render_json(parallel)
 
 
