@@ -184,10 +184,17 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.out is not None and not args.out.parent.is_dir():
+        print(f"cannot write {args.out}: no directory {args.out.parent}", file=sys.stderr)
+        return EXIT_USAGE
     report = run_sweep(k_range, n_range, m_range, jobs=args.jobs)
     text = render_csv(report) if args.format == "csv" else render_json(report)
     if args.out is not None:
-        args.out.write_bytes(text.encode("utf-8"))
+        try:
+            args.out.write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     counts = report.summary()["status"]

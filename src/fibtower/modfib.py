@@ -5,19 +5,26 @@ F_t == 0 and F_{t+1} == 1 (mod M); the indices satisfying that pair
 condition are exactly the multiples of the period, which is what makes
 the divisor-descent searches below sound.
 
+Every period check is one fib_pair_mod call: a Lucas ladder over
+(L_k, L_{k+1}) with one square and one product per bit of the index. It
+runs mod 5m so that F = (2 L_{k+1} - L_k) / 5 and its neighbour come out
+by exact division for every m.
+
 Certified periods live in one per-process cache (modulus value -> period)
 under one lock. Every entry's period passed the period check on that exact
 modulus and is proved minimal. A prime power p^e enters by divisor
-descent: its period divides p^(e-1) * period(p), and period(p) divides
-p - 1 or 2(p + 1) according to p mod 5. A prime of F_n gets a smaller
-candidate from factorize_fib: F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so
-period(F_n), and with it period(p), divides 4n (Carmichael 1913; Wall
-1960), and it is descended from the 4d of the first F_d that p divides,
-never from p - 1 or 2(p + 1). Any other modulus enters only as a
-chain modulus, in build_chain's one certifying walk: its period is the lcm
-of the certified periods of its prime-power parts (CRT, so minimal) and
-must pass the period check on the full modulus. pisano_period does not
-cache composite moduli.
+descent over p alone, above the certified period(p): period(p) divides
+period(p^e), which divides p^(e-1) * period(p) (Wall 1960), so no other
+prime can be stripped. period(p) divides p - 1 or 2(p + 1) according to
+p mod 5. A prime of F_n gets a smaller candidate from factorize_fib:
+F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so period(F_n), and with it
+period(p), divides 4n (Carmichael 1913; Wall 1960), and it is descended
+from the 4d of the first F_d that p divides, never from p - 1 or
+2(p + 1). Any other modulus enters only as a chain modulus, in
+build_chain's one certifying walk: its period is the lcm of the certified
+periods of its prime-power parts (CRT, so minimal) and must pass the
+period check on the full modulus. pisano_period does not cache composite
+moduli.
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -273,22 +280,31 @@ def _factor_into(
 
 
 def fib_pair_mod(i: int, m: int) -> tuple[int, int]:
-    """(F_i mod m, F_{i+1} mod m) by fast doubling with reduced intermediates."""
+    """(F_i mod m, F_{i+1} mod m) by a Lucas ladder mod 5m.
+
+    The ladder climbs the bits of i holding (L_k, L_{k+1}), one square and
+    one product per bit (Lucas 1878):
+        bit 0: k -> 2k,     (L_k^2 - 2(-1)^k,      L_k L_{k+1} - (-1)^k)
+        bit 1: k -> 2k + 1, (L_k L_{k+1} - (-1)^k, L_{k+1}^2 + 2(-1)^k)
+    and ends with 5 F_i = 2 L_{i+1} - L_i and 5 F_{i+1} = 2 L_i + L_{i+1}.
+    It runs mod 5m, where those right-hand sides reduce to 5 (F_i mod m)
+    and 5 (F_{i+1} mod m), so both divisions by 5 are exact for every m,
+    even ones and multiples of 5 included.
+    """
     if m < 1:
         raise ValueError("modulus must be positive")
     if i < 0:
         raise ValueError("index must be nonnegative")
     if m == 1:
         return 0, 0
-    a, b = 0, 1
-    for bit in bin(i)[2:] if i else "":
-        c = a * ((2 * b - a) % m) % m
-        d = (a * a + b * b) % m
+    m5 = 5 * m
+    x, y, s = 2, 1, 1  # L_0, L_1, (-1)^0
+    for bit in bin(i)[2:]:
         if bit == "1":
-            a, b = d, (c + d) % m
+            x, y, s = (x * y - s) % m5, (y * y + 2 * s) % m5, -1
         else:
-            a, b = c, d
-    return a, b
+            x, y, s = (x * x - 2 * s) % m5, (x * y - s) % m5, 1
+    return (2 * y - x) % m5 // 5, (2 * x + y) % m5 // 5
 
 
 def fib_mod(i: int, m: int) -> int:
@@ -311,12 +327,18 @@ def _cached(m: int) -> FactoredNatural | None:
         return _period_cache.get(m)
 
 
-def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatural:
+def _certify_period(
+    p: int, e: int, candidate: dict[int, int], floor: dict[int, int] | None = None
+) -> FactoredNatural:
     """Minimal period mod p^e from a factored valid candidate, cached.
 
     Valid indices are exactly the multiples of the true period, so stripping
     prime factors while the property survives converges to it regardless of
-    the order primes are tried.
+    the order primes are tried. floor, when given, is a factored divisor of
+    the true period: the descent never strips a prime below its exponent
+    there, and the result is still minimal. For e >= 2 the floor is the
+    certified period(p), which divides period(p^e), and the candidate is
+    period(p) * p^(e-1), so only p is ever stripped.
     """
     m = p**e
     cur = 1
@@ -325,8 +347,9 @@ def _certify_period(p: int, e: int, candidate: dict[int, int]) -> FactoredNatura
     if not _is_period(cur, m):
         raise FibTowerError(f"period candidate {cur} invalid for modulus {m}")
     fac = dict(candidate)
+    floor = floor or {}
     for q in sorted(fac):
-        while fac[q] and _is_period(cur // q, m):
+        while fac[q] > floor.get(q, 0) and _is_period(cur // q, m):
             cur //= q
             fac[q] -= 1
     result = FactoredNatural.from_factor_map(fac)
@@ -352,7 +375,8 @@ def pisano_prime(p: int) -> int:
 
 
 def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
-    """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent."""
+    """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent
+    over p alone above period(p), which divides period(p^e) (Wall 1960)."""
     hit = _cached(p**e)
     if hit is not None:
         return hit
@@ -360,9 +384,9 @@ def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
     base = _cached(p)
     if e == 1:
         return base
-    candidate = base.factor_map()
-    candidate[p] = candidate.get(p, 0) + (e - 1)
-    return _certify_period(p, e, candidate)
+    floor = base.factor_map()
+    candidate = {**floor, p: floor.get(p, 0) + (e - 1)}
+    return _certify_period(p, e, candidate, floor)
 
 
 def pisano_period(m: FactoredNatural) -> FactoredNatural:

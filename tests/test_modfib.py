@@ -394,6 +394,38 @@ def test_prime_power_chain_checks_its_modulus_only_in_descent(
     assert cold_links[m].value == pisano_period_brute(m)
 
 
+def test_prime_power_descent_matches_brute(cold_links):
+    # among them 2^e, the even prime, and 5^e: 5 divides its own period 20,
+    # so the floor of 5^e already holds 5 and the descent stops above it
+    prime_powers = [
+        p**e
+        for p in range(2, 142)
+        if is_prime(p)
+        for e in range(2, 15)
+        if p**e <= 20_000
+    ]
+    assert {4, 8192, 25, 15_625, 19_321} <= set(prime_powers)
+    for m in prime_powers:
+        assert pi_of(m) == pisano_period_brute(m), m
+    assert_certified(cold_links)
+
+
+def test_prime_power_descent_strips_only_p(cold_links, monkeypatch):
+    # pi(7) = 16 and pi(7^3) = 7^2 * 16: the candidate check and one failed
+    # strip of 7; 2 is never tried, since pi(7) divides pi(7^3)
+    m = 7**3
+    moduli = []
+    is_period = modfib._is_period
+
+    def spy_is_period(t, modulus):
+        moduli.append(modulus)
+        return is_period(t, modulus)
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    assert pi_of(m) == 7**2 * 16 == pisano_period_brute(m)
+    assert moduli.count(m) == 2
+
+
 def test_period_cache_under_concurrent_chains(cold_links):
     targets = [factorize(fib(n)).power(e) for n in (26, 27, 28) for e in (3, 4)]
     expected = {t.value: build_chain(4, t) for t in targets}

@@ -1,5 +1,6 @@
 """Hypothesis property tests: the chain route against the exact oracle and
-against itself, factorization, and the command line's exit codes."""
+against itself, the modular Fibonacci kernel, factorization, and the
+command line's exit codes."""
 
 import contextlib
 import io
@@ -12,6 +13,8 @@ from fibtower import (
     BudgetExceeded,
     TowerSpec,
     factorize,
+    fib,
+    fib_pair_mod,
     is_prime,
     oracle_eval,
     oracle_feasible,
@@ -67,6 +70,33 @@ def test_tower_residue_is_crt_consistent(k, n, m, a, b):
     r = tower_residue(spec, a * b)
     assert r % a == tower_residue(spec, a)
     assert r % b == tower_residue(spec, b)
+
+
+# Moduli up to about 2^2100: plain, with the factors 2, 5 and 25 that the
+# kernel's exact division by 5 must survive, and powers F_n^j as in a chain.
+MODULI = st.one_of(
+    st.integers(1, 100),
+    st.integers(1, 2**2100),
+    st.tuples(st.sampled_from([2, 5, 10, 25, 50, 2**9 * 5**4]), st.integers(1, 2**2080))
+    .map(prod),
+    st.tuples(st.integers(3, 300), st.integers(1, 10)).map(lambda t: fib(t[0]) ** t[1]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(i=st.integers(0, 30_000), m=MODULI)
+def test_fib_pair_mod_matches_exact_fib(i, m):
+    assert fib_pair_mod(i, m) == (fib(i) % m, fib(i + 1) % m)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(i=st.integers(0, 2**1500), j=st.integers(0, 2**1500), m=MODULI)
+def test_fib_pair_mod_addition_law(i, j, m):
+    # F_{i+j} = F_i F_{j+1} + F_{i+1} F_j - F_i F_j and
+    # F_{i+j+1} = F_{i+1} F_{j+1} + F_i F_j
+    a, b = fib_pair_mod(i, m)
+    c, d = fib_pair_mod(j, m)
+    assert fib_pair_mod(i + j, m) == ((a * d + b * c - a * c) % m, (b * d + a * c) % m)
 
 
 # Products of up to four factors below 10^9: every prime left after trial

@@ -23,7 +23,7 @@ from fibtower import (
     render_json,
     run_sweep,
 )
-from fibtower import report
+from fibtower import cli, report
 from fibtower.cli import main
 
 
@@ -344,6 +344,29 @@ def test_cli_sweep_to_file(tmp_path, capsys):
                  "--out", str(json_out)]) == 0
     parse_json(json_out.read_text())
     capsys.readouterr()
+
+
+def test_cli_sweep_refuses_a_missing_out_directory_before_sweeping(
+    tmp_path, monkeypatch, capsys
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before checking --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["sweep", "--k", "2..2", "--n", "3..3", "--m", "1..1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err and "no directory" in err
+    assert not out.parent.exists()
+
+
+def test_cli_sweep_out_to_a_directory_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--k", "2..2", "--n", "3..3", "--m", "1..1",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path) in err and "directory" in err
+    assert tmp_path.is_dir()
 
 
 def test_cli_sweep_stdout_and_usage(capsys):
