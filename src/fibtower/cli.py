@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 mathematical mismatch (a would-be counterexample),
-2 usage error, 3 resource budget exhausted.
+Exit codes: 0 success, 1 mathematical mismatch (a would-be counterexample,
+or an internal consistency check that failed), 2 usage error, 3 resource
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded
+from .errors import BudgetExceeded, CapExceeded, FibTowerError
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period, pisano_period_brute
 from .oracle import oracle_budget
@@ -248,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FibTowerError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except SystemExit as exc:  # parser.error inside subcommands
         return int(exc.code or 0)
     raise AssertionError("unreachable")

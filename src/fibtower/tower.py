@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
 from .errors import FibTowerError
 from .fibcore import fib
-from .modfib import FactoredNatural, build_chain, factorize, factorize_fib, fib_mod
+from .modfib import (
+    FactoredNatural,
+    build_chain,
+    chain_levels,
+    factorize,
+    factorize_fib,
+    fib_mod,
+)
 
 
 @dataclass(frozen=True)
@@ -129,28 +137,59 @@ class AnalysisReport:
     chain_summary: tuple[tuple[int, int], ...]
 
 
-def _chain_residue(spec: TowerSpec, moduli: tuple[int, ...], fn: int) -> int:
-    """Tower value mod moduli[-1], one Fibonacci evaluation per level.
+def _chain_residue(spec: TowerSpec, levels: list[list[tuple[int, int]]], fn: int) -> int:
+    """Tower value mod the product of the top level's parts.
 
-    moduli is any k + 1 ints in which each entry is a period, minimal or
-    not, of the next: each level's index is reduced mod the modulus one
-    level down.
+    levels holds one level per tower step, bottom first, each a list of
+    (part, period) pairs: moduli whose product is the level's modulus,
+    each with a period of its own, minimal or not. The bottom level needs
+    only its modulus. Every later level is evaluated part by part, F mod
+    the part at the index reduced mod the part's own period, and the
+    parts are joined by the CRT (Garner's form). A level then costs
+    sum(bits(period) * M(bits(part))) over its parts instead of one
+    evaluation mod the whole modulus at an index as large as its period.
+
+    Sound whatever the levels' origin: raises FibTowerError when a part's
+    period does not divide the modulus one level down (the index would not
+    be determined) or when two parts of a level share a factor (the CRT
+    inverse does not exist).
     """
-    r = pow(fn, spec.m, moduli[1])
-    for below, modulus in zip(moduli[1:], moduli[2:]):
-        r = fib_mod((spec.n * r) % below, modulus)
+    below = prod(part for part, _ in levels[0])
+    r = pow(fn, spec.m, below)
+    for parts in levels[1:]:
+        x, modulus = 0, 1
+        for part, period in parts:
+            if below % period:
+                raise FibTowerError(
+                    f"period of a {part.bit_length()}-bit chain part does not "
+                    f"divide the {below.bit_length()}-bit modulus below it"
+                )
+            try:
+                inverse = pow(modulus, -1, part)
+            except ValueError:
+                raise FibTowerError(
+                    f"a {part.bit_length()}-bit chain part shares a factor "
+                    "with the other parts of its level"
+                ) from None
+            y = fib_mod(spec.n * r % period, part)
+            x += modulus * ((y - x) * inverse % part)
+            modulus *= part
+        r, below = x, modulus
     return r
 
 
 def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
     """Tower value mod modulus, via a depth-k Pisano chain.
 
-    Sound because F_i mod M depends on i only through i mod period(M):
-    each level's index is reduced mod the modulus one level down.
+    Sound because F_i mod P depends on i only through i mod period(P):
+    build_chain certifies the chain, and each level is evaluated over its
+    prime-power parts P, each index reduced mod period(P), which divides
+    the modulus one level down.
     """
     if not isinstance(modulus, FactoredNatural):
         modulus = factorize(modulus)
-    return _chain_residue(spec, build_chain(spec.k, modulus), fib(spec.n))
+    build_chain(spec.k, modulus)
+    return _chain_residue(spec, chain_levels(spec.k, modulus), fib(spec.n))
 
 
 def analyze(spec: TowerSpec) -> AnalysisReport:
@@ -166,7 +205,9 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
 
     F_n is factored by factorize_fib and the chain periods under
     DEFAULT_FACTOR_BUDGET; raises FactorBudgetExceeded when a cofactor
-    resists it.
+    resists it. The chain build_chain certified for F_n^(k+m) gives the
+    report's chain periods; the residue is evaluated over its levels'
+    prime-power parts (see _chain_residue).
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -176,8 +217,9 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        moduli = build_chain(k, factorize_fib(n).power(k + m))
-        x = _chain_residue(spec, moduli, fn)
+        target = factorize_fib(n).power(k + m)
+        moduli = build_chain(k, target)
+        x = _chain_residue(spec, chain_levels(k, target), fn)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0

@@ -312,14 +312,6 @@ def test_chain_examples():
     assert build_chain(2, factorize(9)) == (24, 24, 9)
 
 
-@pytest.fixture
-def cold_links(monkeypatch):
-    """An empty certified-period cache for one test; the process cache is restored."""
-    links = {}
-    monkeypatch.setattr(modfib, "_period_cache", links)
-    return links
-
-
 def assert_certified(cache):
     """Every entry is the minimal period of its key, proved without the cache."""
     for m, period in cache.items():

@@ -1,19 +1,23 @@
-"""Hypothesis property tests: the chain route against the exact oracle and
-against itself, the modular Fibonacci kernel, factorization, and the
-command line's exit codes."""
+"""Hypothesis property tests: the chain route against the exact oracle,
+against itself and against a full-modulus evaluation of its levels, the
+modular Fibonacci kernel, factorization, and the command line's exit
+codes."""
 
 import contextlib
 import io
 from math import gcd, prod
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibtower import (
     BudgetExceeded,
     TowerSpec,
+    build_chain,
     factorize,
+    factorize_fib,
     fib,
+    fib_mod,
     fib_pair_mod,
     is_prime,
     oracle_eval,
@@ -70,6 +74,60 @@ def test_tower_residue_is_crt_consistent(k, n, m, a, b):
     r = tower_residue(spec, a * b)
     assert r % a == tower_residue(spec, a)
     assert r % b == tower_residue(spec, b)
+
+
+def full_modulus_residue(spec, target):
+    """The chain evaluated one Fibonacci number per level mod the whole
+    level modulus, at the index reduced mod the whole modulus below."""
+    moduli = build_chain(spec.k, target)
+    r = pow(fib(spec.n), spec.m, moduli[1])
+    for below, modulus in zip(moduli[1:], moduli[2:]):
+        r = fib_mod(spec.n * r % below, modulus)
+    return r
+
+
+# analyze's target F_n^(k+m): at m = 12 and n near 90 the levels pass
+# 1000 bits, and the parts of the top level are p^(a(k+m)).
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 90), m=st.integers(1, 12))
+@example(k=8, n=90, m=12)
+def test_split_chain_evaluation_matches_full_modulus_on_powers_of_fn(k, n, m):
+    spec = TowerSpec(k, n, m)
+    target = factorize_fib(n).power(k + m)
+    assert tower_residue(spec, target) == full_modulus_residue(spec, target)
+
+
+# Products of up to two of 2^a, 5^b and a prime power p^e (none gives 1),
+# times 1 or a prime of 21 or 27 digits (10^20 + 39 and 2^89 - 1); two
+# such primes in one modulus would be beyond factorize's budget.
+RESIDUE_MODULI = st.tuples(
+    st.lists(
+        st.one_of(
+            st.integers(1, 80).map(lambda a: 2**a),
+            st.integers(1, 30).map(lambda b: 5**b),
+            st.tuples(st.sampled_from([3, 7, 13, 89, 1597, 10007]), st.integers(1, 8))
+            .map(lambda t: t[0] ** t[1]),
+        ),
+        max_size=2,
+    ).map(prod),
+    st.sampled_from([1, 10**20 + 39, 2**89 - 1]),
+).map(prod)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 90), m=st.integers(1, 12), modulus=RESIDUE_MODULI)
+@example(k=1, n=90, m=12, modulus=2**89 - 1)
+@example(k=6, n=12, m=3, modulus=7**8)
+def test_split_chain_evaluation_matches_full_modulus_on_tower_residue(k, n, m, modulus):
+    spec = TowerSpec(k, n, m)
+    target = factorize(modulus)
+    assert tower_residue(spec, target) == full_modulus_residue(spec, target)
+
+
+def test_all_ones_chain_has_residue_zero():
+    # the chain of the modulus 1 has no prime-power parts at any level
+    for k in range(1, 7):
+        assert tower_residue(TowerSpec(k, 10, 2), 1) == 0
 
 
 # Moduli up to about 2^2100: plain, with the factors 2, 5 and 25 that the

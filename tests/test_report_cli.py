@@ -23,7 +23,7 @@ from fibtower import (
     render_json,
     run_sweep,
 )
-from fibtower import cli, report
+from fibtower import FibTowerError, cli, report
 from fibtower.cli import main
 
 
@@ -320,6 +320,25 @@ def test_cli_analyze_json(capsys):
     assert payload["case"] == "UNIT_ONE"
     assert payload["match"] is True
     assert payload["status"] == "ok"
+
+
+def fail_a_check(spec):
+    raise FibTowerError(f"period check failed at {spec.n}")
+
+
+def test_cli_analyze_maps_a_failed_check_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "analyze", fail_a_check)
+    assert main(["analyze", "2", "5", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "check failed: period check failed at 5\n"
+
+
+def test_cli_sweep_maps_a_failed_check_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(report, "analyze", fail_a_check)
+    assert main(["sweep", "--k", "2..2", "--n", "3..4", "--m", "1..1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: period check failed at 3\n"
+    assert captured.out == ""
 
 
 def test_cli_analyze_human(capsys):

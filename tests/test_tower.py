@@ -6,16 +6,20 @@ import pytest
 
 from fibtower import (
     CaseTag,
+    FactoredNatural,
+    FibTowerError,
     TowerSpec,
     analyze,
     branch_label,
     classify,
     factorize,
     fib,
+    fib_pair_mod,
     predicted_residue,
     tower_parity_check,
     tower_residue,
 )
+from fibtower import modfib
 
 
 def tower_exact(spec: TowerSpec) -> int:
@@ -194,3 +198,28 @@ def test_analyze_beyond_grid_scale():
     rep = analyze(TowerSpec(7, 100, 2))
     assert rep.case is CaseTag.F_NMINUS1
     assert rep.unit_residue == fib(99) % fib(100)
+
+
+def test_chain_part_period_must_divide_the_level_below(cold_links):
+    # 60 is a period of 8, but not the one the walk lcm'd into the period 72
+    # of 216 = 8 * 27, so the index mod 72 does not determine F mod 8
+    spec = TowerSpec(2, 5, 1)
+    tower_residue(spec, 216)
+    assert cold_links[216].value == 72
+    assert fib_pair_mod(60, 8) == (0, 1)
+    cold_links[8] = factorize(60)
+    with pytest.raises(FibTowerError, match="does not divide") as exc:
+        tower_residue(spec, 216)
+    assert not isinstance(exc.value, ValueError)
+
+
+def test_chain_parts_must_be_coprime(cold_links, monkeypatch):
+    # a composite taken for a prime: "2 * 6" passes every period check
+    # (24 is the period of 6 and of 12) but has no CRT
+    with monkeypatch.context() as patched:
+        patched.setattr(modfib, "is_prime", lambda p: p in (2, 6))
+        target = FactoredNatural(12, ((2, 1), (6, 1)))
+    cold_links[6] = factorize(24)
+    with pytest.raises(FibTowerError, match="shares a factor") as exc:
+        tower_residue(TowerSpec(2, 5, 1), target)
+    assert not isinstance(exc.value, ValueError)
