@@ -162,7 +162,9 @@ def _format_analysis(report) -> str:
         "status",
     )
     lines = [f"{key:>20}  {d[key]}" for key in order]
-    chain = " <- ".join(str(level["modulus"]) for level in d["chain"]) or "(trivial)"
+    chain = " <- ".join(str(level["modulus"]) for level in d["chain"])
+    if not chain:
+        chain = "(trivial)" if report.trivial_base else "(none: answered by route 3)"
     lines.append(f"{'chain':>20}  {chain}")
     return "\n".join(lines)
 

@@ -16,6 +16,10 @@ class FactorBudgetExceeded(BudgetExceeded):
     """A composite cofactor resisted the budgeted factoring effort."""
 
 
+class LiftBudgetExceeded(BudgetExceeded):
+    """A route-3 lift would cost more than its budget allows."""
+
+
 class CapExceeded(BudgetExceeded):
     """Brute-force period search gave up before the cap."""
 

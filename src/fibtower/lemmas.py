@@ -102,6 +102,13 @@ def truncated_expansion_residues(n: int, r: int, k: int) -> TruncationPair:
 
     Requires F_n^k | r; all divisions are checked exact on integers before
     any reduction.
+
+    These are the i = 1, 2 terms of the sum route 3 truncates
+    (lift._multiple_residue), divided by F_n^(k+1). They stay separate on
+    purpose: this is the paper's truncation lemma, checked on an exact r
+    against fib(n*r), while route 3 sees r only mod 4 cop((E-1)!) F_n^(E-1)
+    and keeps every term below E. Deriving one from the other would make
+    the lemma check route 3's arithmetic against itself.
     """
     if n < 3:
         raise ValueError("n must be at least 3")

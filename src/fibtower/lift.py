@@ -1,0 +1,165 @@
+"""Route 3: the tower mod F_n^e by the paper's own expansion, F_n unfactored.
+
+Write F = F_n and F' = F_{n-1}. The index-multiple expansion
+    F_{nx} = sum_{i=0..x} C(x,i) F^i F'^(x-i) F_i
+loses every term with i >= E modulo F^E, so F_{nx} mod F^E needs only
+E - 1 terms. Each power of F' is taken as F'^(x-i) = u^q * F'^s with
+u = F'^4: F'^2 == (-1)^n (mod F), so u - 1 is a multiple of F and
+    u^q == sum_{j<E} C(q,j) (u - 1)^j  (mod F^E),
+which needs no pow with a big exponent (and holds for negative q too, u
+being a unit). C(z,i) mod F^(E-i) depends on z only mod i! F^(E-i), and
+for a prime p | F, v_p(i!) <= i - 1 <= (i - 1) v_p(F); so every term
+needs x only mod 4 * cop((E-1)!) * F^(E-1), where cop(.) is the part
+coprime to F, found by a gcd loop that never factors F.
+
+A level's modulus is S * F^e with S small. The part S_F of S whose primes
+divide F divides F^c for a least c and raises the exponent to E = e + c;
+the coprime rest S_0 is handled by F_{n (x mod pi(S_0))} mod S_0, and the
+two parts are joined by the CRT. The level below is then needed mod
+lcm(4 cop((E-1)!), pi(S_0)) * F^(E-1). pi(S_0) is the only Pisano period
+this route takes, always of a small number, and factorize, pisano_period
+and fib_mod are called on S_0 alone: the route shares no F_n-sized
+modulus, period or factorization with the chain route.
+
+The whole plan of (S, E) pairs is made before any level arithmetic, and
+lift_residue charges it against LIFT_BUDGET. Three checks can fail, each
+raising FibTowerError: F'^4 == 1 (mod F), the exactness of every division
+of a falling factorial by i!, and the coprimality of the CRT parts.
+"""
+
+from __future__ import annotations
+
+from math import factorial, gcd, lcm
+
+from .errors import FibTowerError, LiftBudgetExceeded
+from .fibcore import fib
+from .modfib import factorize, fib_mod, pisano_period
+
+# Lift units one tower may plan. A level of top exponent E is charged
+# E * (b^2 >> 18), b = E * (bits(F_n) + bits(E)) being about the size of
+# (E-1)! F_n^E: the level makes about 6E long divisions of that size. A
+# 2-core x86-64 host (CPython 3.11.7) did 400 000 units a second or more, so
+# an admitted tower takes at most about 2 s.
+LIFT_BUDGET = 800_000
+
+
+def _coprime_part(s: int, f: int) -> int:
+    """The largest divisor of s coprime to f, without factoring f."""
+    g = gcd(s, f)
+    while g > 1:
+        s //= g
+        g = gcd(s, f)
+    return s
+
+
+def _level_cost(top: int, fn_bits: int) -> int:
+    bits = top * (fn_bits + top.bit_length())
+    return top * max(1, bits * bits >> 18)
+
+
+def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], int, int]:
+    """Levels k down to 2 as (S, e, S_0, pi(S_0), E), and the modulus
+    S * F^e of level 1.
+
+    Charged level by level against LIFT_BUDGET, so a refused plan stops
+    as soon as it passes the budget.
+    """
+    levels = []
+    s, charge, fn_bits, target = 1, 0, fn.bit_length(), e
+    for _ in range(spec.k - 1):
+        s0 = _coprime_part(s, fn)
+        s_f, c, power = s // s0, 0, 1
+        while power % s_f:
+            power *= fn
+            c += 1
+        top = e + c
+        charge += _level_cost(top, fn_bits)
+        if charge > LIFT_BUDGET:
+            raise LiftBudgetExceeded(
+                f"lift budget {LIFT_BUDGET} exceeded at level {len(levels) + 1} "
+                f"of {spec.k - 1} lifting {spec} mod F_{spec.n}^{target}"
+            )
+        t0 = pisano_period(factorize(s0)).value
+        levels.append((s, e, s0, t0, top))
+        if top >= 2:
+            s, e = lcm(4 * _coprime_part(factorial(top - 1), fn), t0), top - 1
+        else:
+            s, e = t0, 0
+    return levels, s, e
+
+
+def _multiple_residue(x: int, e: int, fn: int, fn1: int, u1: int) -> int:
+    """F_{n x} mod F^e, from any x' == x (mod 4 cop((e-1)!) F^(e-1)).
+
+    u1 is F'^4 - 1, a multiple of F.
+    """
+    if e < 2:
+        return 0  # F_n divides F_{n x}
+    pw = [1]
+    for _ in range(e):
+        pw.append(pw[-1] * fn)
+    low = pw[e - 1]
+    # falling factorials of x and q run mod (e-1)! F^(e-1); each C(z, i)
+    # is read mod i! F^j, a divisor of that and of what z is known mod
+    wide = factorial(e - 1) * low
+
+    def binomial(fall: int, i: int, j: int) -> int:
+        whole = factorial(i)
+        part = fall % (whole * pw[j])
+        if part % whole:
+            raise FibTowerError(f"falling factorial not divisible by {i}!")
+        return part // whole
+
+    # x - i = 4q + s_i, with s_i = t + e - 1 - i between 0 and e + 1
+    q, t = divmod(x - (e - 1), 4)
+    uq, fall, step = 1, 1, 1
+    for j in range(1, e - 1):
+        fall = fall * (q - j + 1) % wide
+        step = step * u1 % low
+        uq += binomial(fall, j, e - 1 - j) * step
+    uq %= low
+    # powers[s] = u^q F'^s mod F^(e-1), for s up to s_1 = t + e - 2
+    powers = [uq]
+    for _ in range(t + e - 2):
+        powers.append(powers[-1] * fn1 % low)
+    total, fall = 0, 1
+    fj_prev, fj = 0, 1  # F_{i-1}, F_i
+    for i in range(1, e):
+        fall = fall * (x - i + 1) % wide
+        c = binomial(fall, i, e - i)
+        total += c * powers[t + e - 1 - i] % pw[e - i] * pw[i] * fj
+        fj_prev, fj = fj, fj_prev + fj
+    return total % pw[e]
+
+
+def lift_residue(spec, e: int) -> int:
+    """Tower value of spec mod F_n^e, by route 3 (see the module docstring).
+
+    Raises LiftBudgetExceeded, before any level arithmetic, when the plan's
+    charge passes LIFT_BUDGET, and FibTowerError when a check fails.
+    """
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    k, n, m = spec.k, spec.n, spec.m
+    fn = fib(n)
+    if fn == 1 or e == 0:
+        return 0
+    levels, s, low = _plan(spec, fn, e)
+    fn1 = fib(n - 1)
+    u1 = fn1**4 - 1
+    if u1 % fn:
+        raise FibTowerError(f"F_{n - 1}^4 is not 1 mod F_{n}")
+    x = pow(fn, m, s * fn**low)
+    for s, e_level, s0, t0, top in reversed(levels):
+        y = _multiple_residue(x, top, fn, fn1, u1)
+        modulus = s // s0 * fn**e_level
+        try:
+            inverse = pow(modulus, -1, s0)
+        except ValueError:
+            raise FibTowerError(
+                f"the parts of a lift level of F_{n} share a factor"
+            ) from None
+        y0 = fib_mod(n * x % t0, s0)
+        y %= modulus
+        x = y + modulus * ((y0 - y) * inverse % s0)
+    return x

@@ -38,6 +38,12 @@ inverse exists). So the residue does not rest on is_prime, which is
 probabilistic above ~3.3e24.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
 always exact, i.e. on pi(p^2) = p * pi(p).
+
+This module serves the chain route of tower.analyze, which stops where
+factoring F_n does: when factorize_fib or build_chain raises
+FactorBudgetExceeded, analyze answers by route 3 (fibtower.lift), which
+never factors F_n and calls fib_mod, pisano_period and factorize here only
+on small moduli coprime to F_n.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ def _trial_primes() -> list[int]:
 # ------------------------------ primality ------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXTRA_ROUNDS = 32
 # Below this value the 12 bases above are a proven deterministic test.
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 
@@ -96,7 +103,7 @@ def is_prime(n: int) -> bool:
     bases: tuple[int, ...] = _MR_BASES
     if n >= _MR_PROVEN_LIMIT:
         rng = random.Random(f"mr:{Decimal(n)}")
-        bases = bases + tuple(rng.randrange(2, n - 1) for _ in range(32))
+        bases = bases + tuple(rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -245,7 +252,8 @@ def factorize(
 
     Deterministic for a fixed seed. budget caps the rho work spent on all
     cofactors together, in iterations weighted by cofactor size (see
-    _brent_rho); FactorBudgetExceeded names it and the cofactor that
+    _brent_rho), plus the primality tests of cofactors above 512 bits (see
+    _primality_cost); FactorBudgetExceeded names it and the cofactor that
     exhausted it, which signals that the requested parameters are beyond
     desk scale.
     """
@@ -256,12 +264,23 @@ def factorize(
     return FactoredNatural.from_factor_map(found)
 
 
+def _primality_cost(v: int) -> int:
+    """Budget units of is_prime(v): none up to 512 bits; above, each of its
+    rounds, a pow mod v, at rho's per-iteration weight per exponent bit."""
+    bits = v.bit_length()
+    if bits <= 512:
+        return 0
+    return bits * (bits * bits >> 18) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
+
+
 def _factor_into(
     found: dict[int, int], x: int, budget: int, seed: int, used: int
 ) -> int:
     """Add the prime factorization of x >= 1 to found; returns used plus
-    the rho units spent. Trial division, then is_prime and Brent rho on
-    what remains."""
+    the units spent. Trial division, then is_prime and Brent rho on what
+    remains. A primality test of a cofactor above 512 bits is charged
+    (see _primality_cost), and refused before it runs when the charge
+    would pass budget."""
     for p in _trial_primes():
         if p * p > x:
             break
@@ -271,6 +290,12 @@ def _factor_into(
     stack = [x] if x > 1 else []
     while stack:
         v = stack.pop()
+        used += _primality_cost(v)
+        if used > budget:
+            raise FactorBudgetExceeded(
+                f"rho budget {budget} cannot pay for a primality test "
+                f"on a {_digits(v)}-digit cofactor"
+            )
         if is_prime(v):
             found[v] = found.get(v, 0) + 1
             continue

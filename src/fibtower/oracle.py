@@ -1,9 +1,9 @@
 """Brute-force ground truth: exact tower values for desk-scale indices.
 
-Independent of the Pisano-chain engine on purpose; the two routes are
-compared wherever both can run. Feasibility walks the tower's indices
-only; an evaluation walks them the same way and then computes the tower
-value once.
+Independent of the Pisano-chain engine and of route 3 on purpose; the
+routes are compared wherever they can all run. Feasibility walks the
+tower's indices only; an evaluation walks them the same way and then
+computes the tower value once.
 """
 
 from __future__ import annotations

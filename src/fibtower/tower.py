@@ -4,7 +4,9 @@ A tower is the sequence that starts at F_n^m and repeatedly applies
 x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
-large for k >= 3, so everything here is computed through Pisano chains.
+large for k >= 3, so everything here is computed through Pisano chains,
+or, when F_n will not factor within budget, through route 3's F_n-adic
+lift (fibtower.lift), which never factors F_n.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .errors import FibTowerError
+from .errors import FactorBudgetExceeded, FibTowerError, LiftBudgetExceeded
 from .fibcore import fib
+from .lift import lift_residue
 from .modfib import (
     FactoredNatural,
     build_chain,
@@ -203,11 +206,16 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
-    F_n is factored by factorize_fib and the chain periods under
-    DEFAULT_FACTOR_BUDGET; raises FactorBudgetExceeded when a cofactor
-    resists it. The chain build_chain certified for F_n^(k+m) gives the
-    report's chain periods; the residue is evaluated over its levels'
-    prime-power parts (see _chain_residue).
+    Two routes, the first that stays within its budget answering:
+
+    - the chain route: F_n is factored by factorize_fib and the chain
+      periods under DEFAULT_FACTOR_BUDGET; the chain build_chain certified
+      for F_n^(k+m) gives the report's chain periods, and the residue is
+      evaluated over its levels' prime-power parts (see _chain_residue);
+    - route 3, only when that raises FactorBudgetExceeded: lift_residue
+      expands the tower F_n-adically without factoring F_n. It claims no
+      minimal periods, so the report's chain is empty. When it too is over
+      its budget, LiftBudgetExceeded names both refusals.
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -217,14 +225,22 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        target = factorize_fib(n).power(k + m)
-        moduli = build_chain(k, target)
-        x = _chain_residue(spec, chain_levels(k, target), fn)
+        try:
+            target = factorize_fib(n).power(k + m)
+            moduli = build_chain(k, target)
+        except FactorBudgetExceeded as refused:
+            try:
+                x = lift_residue(spec, k + m)
+            except LiftBudgetExceeded as exc:
+                raise LiftBudgetExceeded(f"{refused}; {exc}") from None
+            chain_summary = ()
+        else:
+            x = _chain_residue(spec, chain_levels(k, target), fn)
+            chain_summary = tuple(zip(moduli[1:], moduli))
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0
         unit = quotient % fn if divisibility_ok else None
-        chain_summary = tuple(zip(moduli[1:], moduli))
     return AnalysisReport(
         spec=spec,
         fn_value=fn,

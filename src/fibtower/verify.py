@@ -26,6 +26,7 @@ from .lemmas import (
     divisor_power_witness,
     truncated_expansion_check,
 )
+from .lift import lift_residue
 from .oracle import oracle_budget, oracle_eval, oracle_feasible
 from .tower import TowerSpec, analyze, tower_parity_check, tower_residue
 
@@ -201,7 +202,7 @@ def _feasible_grid_specs(limit: int):
 
 
 def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
-    """Exact results vs the chain engine on every feasible grid spec."""
+    """Exact results vs the chain engine and route 3 on every feasible grid spec."""
     limit = oracle_budget(max_index)
     specs = list(_feasible_grid_specs(limit))
     exact = {spec: oracle_eval(spec, limit) for spec in specs}
@@ -214,6 +215,8 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
             ok = res.valuation is None or res.valuation >= lead
             if spec.n >= 4 and spec.k >= 2:
                 ok = ok and res.valuation == lead
+            if spec.n == 3:  # F_3 = 2: the 2-adic valuation (Lengyel 1995)
+                ok = ok and res.valuation == spec.m + 2 * spec.k - 2
             yield f"{spec} valuation={res.valuation}", ok
 
     results.append(_run("oracle_valuation", valuation_cases()))
@@ -226,6 +229,15 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
             yield f"{spec} unit={res.quotient_residue}", ok
 
     results.append(_run("oracle_unit_agreement", unit_cases()))
+
+    def lift_cases():
+        for spec in specs:
+            res = exact[spec]
+            fn = fib(spec.n)
+            unit = lift_residue(spec, spec.k + spec.m) // fn ** (spec.k + spec.m - 1)
+            yield f"{spec} unit={res.quotient_residue}", unit % fn == res.quotient_residue
+
+    results.append(_run("lift_agreement", lift_cases()))
 
     def probe_cases():
         for spec in specs:

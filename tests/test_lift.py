@@ -1,0 +1,120 @@
+"""Route 3: the tower mod F_n^e by the F_n-adic expansion, F_n unfactored."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fibtower import (
+    DEFAULT_ORACLE_MAX_INDEX,
+    LIFT_BUDGET,
+    FibTowerError,
+    LiftBudgetExceeded,
+    TowerSpec,
+    analyze,
+    factorize_fib,
+    fib,
+    lift_residue,
+    oracle_eval,
+    predicted_residue,
+    tower_residue,
+)
+from fibtower import lift, tower
+from fibtower.verify import _feasible_grid_specs
+
+
+def unit(spec):
+    """(tower / F_n^(k+m-1)) mod F_n from route 3."""
+    fn = fib(spec.n)
+    return lift_residue(spec, spec.k + spec.m) // fn ** (spec.k + spec.m - 1) % fn
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 90), m=st.integers(1, 12))
+@example(k=8, n=90, m=12)
+@example(k=8, n=3, m=12)
+def test_lift_agrees_with_the_chain_route(k, n, m):
+    spec = TowerSpec(k, n, m)
+    target = factorize_fib(n).power(k + m)
+    assert lift_residue(spec, k + m) == tower_residue(spec, target)
+
+
+def test_lift_agrees_with_the_oracle_on_every_feasible_grid_spec():
+    specs = list(_feasible_grid_specs(DEFAULT_ORACLE_MAX_INDEX))
+    assert len(specs) == 154
+    for spec in specs:
+        res = oracle_eval(spec)
+        assert unit(spec) == res.quotient_residue, spec
+        if res.valuation is not None:
+            e = res.valuation + 1
+            assert lift_residue(spec, e) == res.value % fib(spec.n) ** e, spec
+
+
+@pytest.mark.parametrize("n", [500, 700, 800, 900, 1000])
+def test_lift_matches_the_prediction_where_factoring_is_refused(n):
+    spec = TowerSpec(3, n, 1)
+    assert unit(spec) == predicted_residue(spec)[1]
+
+
+def test_lift_gives_the_exact_2_adic_valuation_at_n_3():
+    # v_2(G(k, 3, m)) = m + 2k - 2 (Lengyel 1995): the tower is 2^v times
+    # an odd number, so it is 2^v mod 2^(v+1)
+    for k in range(2, 13):
+        for m in range(1, 6):
+            v = m + 2 * k - 2
+            assert lift_residue(TowerSpec(k, 3, m), v + 1) == 2**v, (k, m)
+
+
+def test_lift_trivial_bases_and_height_one():
+    assert lift_residue(TowerSpec(4, 2, 3), 5) == 0
+    assert lift_residue(TowerSpec(4, 10, 3), 0) == 0
+    assert lift_residue(TowerSpec(1, 10, 3), 5) == 55**3
+    with pytest.raises(ValueError):
+        lift_residue(TowerSpec(2, 10, 1), -1)
+
+
+def test_lift_budget_refuses_before_any_level_arithmetic(monkeypatch):
+    def no_arithmetic(*args):
+        raise AssertionError("level arithmetic ran on a refused plan")
+
+    monkeypatch.setattr(lift, "_multiple_residue", no_arithmetic)
+    spec = TowerSpec(3, 500, 200)
+    with pytest.raises(LiftBudgetExceeded) as err:
+        lift_residue(spec, 203)
+    assert str(err.value) == (
+        f"lift budget {LIFT_BUDGET} exceeded at level 1 of 2 lifting {spec} mod F_500^203"
+    )
+
+
+# Each internal check, made to fail by a fault injected from outside.
+
+
+def test_lift_checks_that_f_n_minus_1_to_the_4_is_1_mod_f_n(monkeypatch):
+    monkeypatch.setattr(lift, "fib", lambda i: fib(i) + (i == 9))
+    with pytest.raises(FibTowerError, match=r"F_9\^4 is not 1 mod F_10"):
+        lift_residue(TowerSpec(2, 10, 1), 2)
+
+
+def test_lift_checks_that_binomial_divisions_are_exact(monkeypatch):
+    # a wrong 3! leaves the falling factorial of degree 3 undivided
+    monkeypatch.setattr(lift, "factorial", lambda i: math.factorial(i) + (i == 3))
+    with pytest.raises(FibTowerError, match="not divisible by 3!"):
+        lift_residue(TowerSpec(2, 10, 3), 5)
+
+
+def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
+    # with nothing stripped, 5 = F_5 stays in the small part S_0 of a level
+    # whose other part is a power of F_5
+    monkeypatch.setattr(lift, "_coprime_part", lambda s, f: s)
+    with pytest.raises(FibTowerError, match="share a factor"):
+        lift_residue(TowerSpec(3, 5, 4), 7)
+
+
+def test_analyze_takes_route_3_only_when_factoring_is_refused(monkeypatch):
+    def refused(spec, e):
+        raise AssertionError(f"route 3 taken for {spec}")
+
+    monkeypatch.setattr(tower, "lift_residue", refused)
+    for n in (3, 30, 90, 600):
+        assert analyze(TowerSpec(3, n, 1)).chain_summary

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from decimal import Decimal
 from math import gcd, lcm
 
 import pytest
@@ -132,10 +133,37 @@ def test_primality_and_rho_beyond_int_str_digit_limit():
     sys.set_int_max_str_digits(640)
     try:
         assert not is_prime(41**430)  # 694 digits, no prime factor below 41
-        with pytest.raises(FactorBudgetExceeded, match="on a 701-digit cofactor"):
-            factorize(100_003**140, budget=10)  # 100003 is past trial division
+        # 100003 is past trial division; the budget pays for the primality
+        # test of the 701-digit cofactor and for one rho iteration on it
+        x = 100_003**140
+        budget = modfib._primality_cost(x) + 10
+        with pytest.raises(
+            FactorBudgetExceeded, match="exhausted on a 701-digit cofactor"
+        ):
+            factorize(x, budget=budget)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_factorize_refuses_a_huge_cofactor_before_testing_its_primality(monkeypatch):
+    # 5000 ones: trial division leaves a 4928-digit cofactor, and testing
+    # its primality took most of the 35 s this refusal used to cost
+    tested = []
+
+    def spy(v):
+        tested.append(v.bit_length())
+        return is_prime(v)
+
+    monkeypatch.setattr(modfib, "is_prime", spy)
+    with pytest.raises(
+        FactorBudgetExceeded,
+        match="rho budget 2000000 cannot pay for a primality test on a 4928-digit cofactor",
+    ):
+        factorize(int(Decimal("1" * 5000)))
+    assert max(tested, default=0) <= 512
+    # a cofactor of 512 bits or fewer is tested free of charge
+    assert modfib._primality_cost(2**512 - 1) == 0
+    assert modfib._primality_cost(2**512) == 513 * 1 * 44
 
 
 def test_factorize_fib_equals_factorize():

@@ -10,6 +10,7 @@ import pytest
 
 from fibtower import (
     CSV_COLUMNS,
+    LIFT_BUDGET,
     AnalysisReport,
     SweepReport,
     SweepRow,
@@ -128,29 +129,52 @@ def test_reports_beyond_int_str_digit_limit():
     assert render_csv(report).split("\n")[1].startswith(f"90,2,300,{fn_text},301,")
 
 
+# F_500 is refused by factoring (rho exhausts its budget on a 33-digit
+# cofactor of its primitive part), so analyze answers it by route 3; at
+# m = 200 route 3 is over its own budget too.
+REFUSED_BY_BOTH = "rho budget 2000000 exhausted on a 33-digit cofactor of F_500; lift budget"
+
+
 @pytest.fixture(scope="module")
 def over_budget_sweep():
-    # factoring F_500 exhausts the default rho budget on a 33-digit cofactor
-    # of its primitive part
+    return run_sweep((3, 3), (500, 500), (200, 200))
+
+
+@pytest.fixture(scope="module")
+def route_3_sweep():
     return run_sweep((3, 3), (500, 500), (1, 1))
 
 
-def test_budget_refusal_row_roundtrips(over_budget_sweep):
+def test_budget_refusal_row_roundtrips(over_budget_sweep, route_3_sweep):
     (row,) = over_budget_sweep.rows
     assert row.status == "budget_exceeded" and row.report is None
     assert over_budget_sweep.summary()["status"] == {"budget_exceeded": 1}
     assert parse_json(render_json(over_budget_sweep)) == over_budget_sweep
+    (row,) = route_3_sweep.rows
+    assert row.status == "ok" and row.report.match and row.report.chain_summary == ()
+    assert parse_json(render_json(route_3_sweep)) == route_3_sweep
 
 
-def test_budget_refusal_csv(over_budget_sweep):
+def test_budget_refusal_csv(over_budget_sweep, route_3_sweep):
     lines = render_csv(over_budget_sweep).strip().split("\n")
-    assert lines[1:] == ["500,3,1,,,,,,,,,budget_exceeded"]
+    assert lines[1:] == ["500,3,200,,,,,,,,,budget_exceeded"]
+    rep = route_3_sweep.rows[0].report
+    (line,) = render_csv(route_3_sweep).strip().split("\n")[1:]
+    assert line == (
+        f"500,3,1,{rep.fn_value},3,true,{rep.unit_residue},true,"
+        f"F_NMINUS1,{rep.predicted_residue},true,ok"
+    )
 
 
 def test_cli_analyze_budget_refusal_names_budget(capsys):
-    assert main(["analyze", "3", "500", "1"]) == 3
+    assert main(["analyze", "3", "500", "200"]) == 3
     err = capsys.readouterr().err
-    assert "rho budget 2000000 exhausted on a 33-digit cofactor of F_500" in err
+    assert f"{REFUSED_BY_BOTH} {LIFT_BUDGET} exceeded" in err
+    assert main(["analyze", "3", "500", "1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["match"] is True and out["chain"] == [] and out["trivial_base"] is False
+    assert main(["analyze", "3", "4001", "1"]) == 0
+    assert "chain  (none: answered by route 3)" in capsys.readouterr().out
 
 
 def test_sweep_jobs_deterministic_small():
@@ -160,10 +184,19 @@ def test_sweep_jobs_deterministic_small():
 
 
 def test_sweep_with_a_refusal_and_n_600_is_jobs_independent():
-    # F_600 factors through its primitive parts; F_601 is refused
+    # F_600 factors through its primitive parts; F_601 is refused, and
+    # route 3 answers it
     serial = run_sweep((3, 3), (600, 601), (1, 1), jobs=1)
     parallel = run_sweep((3, 3), (600, 601), (1, 1), jobs=2)
-    assert [row.status for row in serial.rows] == ["ok", "budget_exceeded"]
+    assert [row.status for row in serial.rows] == ["ok", "ok"]
+    assert [bool(row.report.chain_summary) for row in serial.rows] == [True, False]
+    assert render_json(serial) == render_json(parallel)
+    # F_4001 is refused at once: its cofactor is too large to test for
+    # primality within the factoring budget. Route 3 answers k = 1 and
+    # refuses k = 2, 3 at m = 40.
+    serial = run_sweep((1, 3), (4001, 4001), (40, 40), jobs=1)
+    parallel = run_sweep((1, 3), (4001, 4001), (40, 40), jobs=2)
+    assert [row.status for row in serial.rows] == ["ok", "budget_exceeded", "budget_exceeded"]
     assert render_json(serial) == render_json(parallel)
 
 
@@ -413,7 +446,7 @@ def test_cli_verify_lemmas(capsys):
 def test_cli_verify_oracle_small_budget(capsys):
     assert main(["verify", "--suite", "oracle", "--max-index", "2000"]) == 0
     out = capsys.readouterr().out
-    assert "3/3 oracle agreement properties pass" in out
+    assert "4/4 oracle agreement properties pass" in out
     assert "oracle index budget: 2000" in out
 
 
