@@ -11,8 +11,9 @@ runs mod 5m so that F = (2 L_{k+1} - L_k) / 5 and its neighbour come out
 by exact division for every m.
 
 Certified periods live in one per-process cache (modulus value -> period)
-under one lock. Every entry's period passed the period check on that exact
-modulus and is proved minimal. A prime power p^e enters by divisor
+under one lock. Every entry is proved the minimal period of its modulus:
+a prime power's by the period check on that exact modulus, any other
+modulus's through its parts (below). A prime power p^e enters by divisor
 descent over p alone, above the certified period(p): period(p) divides
 period(p^e), which divides p^(e-1) * period(p) (Wall 1960), so no other
 prime can be stripped. period(p) divides p - 1 or 2(p + 1) according to
@@ -21,15 +22,17 @@ F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so period(F_n), and with it
 period(p), divides 4n (Carmichael 1913; Wall 1960), and it is descended
 from the 4d of the first F_d that p divides, never from p - 1 or
 2(p + 1). Any other modulus enters only as a chain modulus, in
-build_chain's one certifying walk: its period is the lcm of the certified
-periods of its prime-power parts (CRT, so minimal) and must pass the
-period check on the full modulus. pisano_period does not cache composite
-moduli.
+build_chain's one certifying walk: its prime-power parts must be pairwise
+coprime (their lcm is the modulus) and each part's cached period must pass
+the period check on the part; by the CRT the lcm of those periods is then
+the minimal period of the modulus, with no ladder on the full modulus.
+pisano_period does not cache composite moduli.
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
 nothing re-checks a chain afterwards, and no path takes a claimed period.
-The full-modulus checks back those reported chain periods. The residue
+The per-part checks back those reported chain periods; the coprimality
+is checked on the parts' values, not taken from is_prime. The residue
 does not rest on them: chain_levels hands the evaluator each level as its
 prime-power parts, each with a period that passed the period check on the
 part itself, and the evaluator checks that every part's period divides
@@ -52,7 +55,7 @@ import random
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
@@ -208,10 +211,6 @@ class FactoredNatural:
             raise ValueError("factors do not multiply to value")
 
     @classmethod
-    def one(cls) -> "FactoredNatural":
-        return cls(1, ())
-
-    @classmethod
     def from_factor_map(cls, factors: dict[int, int]) -> "FactoredNatural":
         items = tuple(sorted((p, e) for p, e in factors.items() if e))
         value = 1
@@ -226,20 +225,8 @@ class FactoredNatural:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
-            return FactoredNatural.one()
+            return FactoredNatural(1, ())
         return FactoredNatural(self.value**e, tuple((p, f * e) for p, f in self.factors))
-
-    def lcm(self, other: "FactoredNatural") -> "FactoredNatural":
-        merged = self.factor_map()
-        for p, e in other.factors:
-            if merged.get(p, 0) < e:
-                merged[p] = e
-        return FactoredNatural.from_factor_map(merged)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
 def factorize(
@@ -455,46 +442,14 @@ def pisano_period_brute(m: int, cap: int | None = None) -> int:
 
 # ----------------------------- factoring F_n -----------------------------
 
-# d -> (primes of the primitive part of F_d, rho units spent finding them).
-# Successes only: a refusal is never recorded.
-_primitive_cache: dict[int, tuple[tuple[int, ...], int]] = {}
-_primitive_cache_lock = threading.Lock()
+# n -> the factorization of F_n. Successes only: a refusal is never recorded.
+_fib_factor_cache: dict[int, FactoredNatural] = {}
+_fib_factor_cache_lock = threading.Lock()
 
 
 def _divisors(n: int) -> list[int]:
     low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return sorted(set(low + [n // d for d in low]))
-
-
-def _primitive_primes(
-    d: int, known: list[int], used: int
-) -> tuple[tuple[int, ...], int]:
-    """Primes of F_d that divide no F_e with e < d, and used plus their units.
-
-    known holds (at least) every prime of F_e for the proper divisors e of d.
-    A cached entry is taken only when its units fit what is left of the
-    budget; otherwise the part is factored again from used, which refuses
-    exactly where a process without the entry would. A refusal names F_d.
-    """
-    with _primitive_cache_lock:
-        hit = _primitive_cache.get(d)
-    if hit is not None and used + hit[1] <= DEFAULT_FACTOR_BUDGET:
-        return hit[0], used + hit[1]
-    part = fib(d)
-    for p in known:
-        while part % p == 0:
-            part //= p
-    found: dict[int, int] = {}
-    try:
-        total = _factor_into(
-            found, part, DEFAULT_FACTOR_BUDGET, DEFAULT_FACTOR_SEED, used
-        )
-    except FactorBudgetExceeded as exc:
-        raise FactorBudgetExceeded(f"{exc} of F_{d}") from None
-    entry = (tuple(sorted(found)), total - used)
-    with _primitive_cache_lock:
-        _primitive_cache.setdefault(d, entry)
-    return entry[0], total
 
 
 def factorize_fib(n: int) -> FactoredNatural:
@@ -503,20 +458,34 @@ def factorize_fib(n: int) -> FactoredNatural:
     Every prime of F_n divides F_d first at exactly one d | n, so taking
     the divisors in increasing order and dividing out of F_d the primes
     already found leaves F_d's primitive part, which gets factorize's
-    treatment; the exponents in F_n then come by exact division. The
-    primes of each part are cached per process with the rho units spent
-    on them, and F_n is charged the sum of those units over d | n against
-    DEFAULT_FACTOR_BUDGET, cached or not, so whether and how it refuses
-    depends on n alone. Each prime's period is certified (and cached) by
-    descent from 4d, a period of F_d and hence of the prime, so the chain
-    never factors p - 1 or 2(p + 1) for a prime of F_n.
+    treatment under one DEFAULT_FACTOR_BUDGET shared by all the parts; a
+    refusal names F_d. The exponents in F_n then come by exact division.
+    Finished factorizations are cached per process by n, refusals never,
+    so whether and how F_n is refused depends on n alone. Each prime's
+    period is certified (and cached) by descent from 4d, a period of F_d
+    and hence of the prime, so the chain never factors p - 1 or 2(p + 1)
+    for a prime of F_n.
     """
     if n < 1:
         raise ValueError("index must be positive")
+    with _fib_factor_cache_lock:
+        hit = _fib_factor_cache.get(n)
+    if hit is not None:
+        return hit
     primes: list[int] = []
     used = 0
     for d in _divisors(n):
-        found, used = _primitive_primes(d, primes, used)
+        part = fib(d)
+        for p in primes:
+            while part % p == 0:
+                part //= p
+        found: dict[int, int] = {}
+        try:
+            used = _factor_into(
+                found, part, DEFAULT_FACTOR_BUDGET, DEFAULT_FACTOR_SEED, used
+            )
+        except FactorBudgetExceeded as exc:
+            raise FactorBudgetExceeded(f"{exc} of F_{d}") from None
         fresh = [p for p in found if _cached(p) is None]
         if fresh:
             candidate = factorize(4 * d).factor_map()
@@ -533,7 +502,9 @@ def factorize_fib(n: int) -> FactoredNatural:
         exponents[p] = e
     if fn != 1:
         raise FibTowerError(f"primitive parts of F_{n} leave a cofactor")
-    return FactoredNatural.from_factor_map(exponents)
+    result = FactoredNatural.from_factor_map(exponents)
+    with _fib_factor_cache_lock:
+        return _fib_factor_cache.setdefault(n, result)
 
 
 # ----------------------------- period chains -----------------------------
@@ -546,9 +517,11 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
     but the last is the certified minimal period of the entry after it.
     This is the one certifying walk, built target-first: each level is a
     cache hit or, on a miss, the CRT lcm from pisano_period. A prime power
-    was certified by its descent; any other modulus must also pass the
-    period check on the full modulus before it is recorded. The period
-    bounds come from factorize under DEFAULT_FACTOR_BUDGET, so this raises
+    was certified by its descent; any other modulus is recorded only when
+    its prime-power parts are pairwise coprime and each part's period
+    passes the period check on the part, which by the CRT makes the lcm
+    its period without a check on the full modulus. The period bounds
+    come from factorize under DEFAULT_FACTOR_BUDGET, so this raises
     FactorBudgetExceeded when a bound resists that budget.
     """
     if k < 1:
@@ -561,8 +534,13 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
         if period is None:
             period = pisano_period(modulus)
             if len(modulus.factors) > 1:
-                if not _is_period(period.value, m):
-                    raise FibTowerError(f"{period.value} is not a period mod {m}")
+                parts = [p**e for p, e in modulus.factors]
+                if lcm(*parts) != m:
+                    raise FibTowerError(f"a part of chain modulus {m} shares a factor")
+                for part in parts:
+                    t = _cached(part).value
+                    if not _is_period(t, part):
+                        raise FibTowerError(f"{t} is not a period mod {part}")
                 with _period_cache_lock:
                     period = _period_cache.setdefault(m, period)
         moduli.append(period)

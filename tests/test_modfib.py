@@ -172,11 +172,11 @@ def test_factorize_fib_equals_factorize():
 
 
 @pytest.fixture
-def cold_primitive_parts(monkeypatch):
-    """An empty primitive-part cache for one test; the process cache is restored."""
-    parts = {}
-    monkeypatch.setattr(modfib, "_primitive_cache", parts)
-    return parts
+def cold_fib_factors(monkeypatch):
+    """An empty factorize_fib cache for one test; the process cache is restored."""
+    factors = {}
+    monkeypatch.setattr(modfib, "_fib_factor_cache", factors)
+    return factors
 
 
 def refusal(n):
@@ -185,17 +185,17 @@ def refusal(n):
     return str(err.value)
 
 
-def test_factorize_fib_refusal_ignores_a_warm_cache(cold_primitive_parts):
+def test_factorize_fib_refusal_ignores_a_warm_cache(cold_fib_factors):
     cold = refusal(500)
     assert cold == "rho budget 2000000 exhausted on a 33-digit cofactor of F_500"
     factorize_fib(100)
     factorize_fib(250)
-    assert {100, 250} <= set(cold_primitive_parts)
-    assert 500 not in cold_primitive_parts  # refusals are never recorded
+    assert {100, 250} <= set(cold_fib_factors)
+    assert 500 not in cold_fib_factors  # refusals are never recorded
     assert refusal(500) == cold
 
 
-def test_factorize_fib_charges_cached_parts(cold_primitive_parts, monkeypatch):
+def test_factorize_fib_charges_cached_parts(cold_fib_factors, monkeypatch):
     # F*_77 and F*_91 cost 894 and 1662 rho units: each fits a budget of
     # 2000 alone, together they do not, so F_1001 (7 * 11 * 13) is refused
     # on F_91's part whether those parts were cached or not
@@ -207,14 +207,14 @@ def test_factorize_fib_charges_cached_parts(cold_primitive_parts, monkeypatch):
     assert refusal(1001) == cold
 
 
-def test_factorize_fib_refusal_ignores_call_order(cold_primitive_parts):
+def test_factorize_fib_refusal_ignores_call_order(cold_fib_factors):
     alone = refusal(1000)
-    cold_primitive_parts.clear()
+    cold_fib_factors.clear()
     refusal(500)
     assert refusal(1000) == alone
 
 
-def test_primitive_cache_under_concurrent_factorizations(cold_primitive_parts):
+def test_primitive_cache_under_concurrent_factorizations(cold_fib_factors):
     ns = (60, 84, 90, 120, 168, 180, 240)
     expected = {n: factorize(fib(n)) for n in ns}
     results, errors = [], []
@@ -240,15 +240,21 @@ def test_primitive_cache_under_concurrent_factorizations(cold_primitive_parts):
     assert errors == []
     assert len(results) == 4 * len(ns)
     assert all(fac == expected[n] for n, fac in results)
+    assert cold_fib_factors == expected
 
-    def primes_of(i):
-        return {p for p, _ in factorize(fib(i)).factors}
 
-    # each entry holds exactly the primes of F_d that divide no F_e, e | d, e < d
-    assert set(cold_primitive_parts) == {d for n in ns for d in range(1, n + 1) if n % d == 0}
-    for d, (primes, _) in cold_primitive_parts.items():
-        older = set().union(*(primes_of(e) for e in range(1, d) if d % e == 0))
-        assert set(primes) == primes_of(d) - older, d
+def test_warm_factorize_fib_neither_factors_nor_computes_f_n(
+    cold_fib_factors, monkeypatch
+):
+    cold = factorize_fib(120)
+    assert cold_fib_factors == {120: cold}
+
+    def refuse(*args):
+        raise AssertionError("a warm factorize_fib must not factor or compute F_n")
+
+    monkeypatch.setattr(modfib, "_factor_into", refuse)
+    monkeypatch.setattr(modfib, "fib", refuse)
+    assert factorize_fib(120) is cold
 
 
 def test_factored_natural_validation():
@@ -260,13 +266,9 @@ def test_factored_natural_validation():
         FactoredNatural(36, ((3, 2), (2, 2)))  # unsorted
     with pytest.raises(ValueError):
         FactoredNatural(4, ((2, 2), (3, 0)))  # zero exponent
-    one = FactoredNatural.one()
-    assert one.value == 1 and one.factors == ()
     f = factorize(75025)
     assert f.factors == ((5, 2), (3001, 1))
     assert f.power(3).value == 75025**3
-    assert str(f) == "5^2 * 3001"
-    assert f.lcm(factorize(50)).value == 2 * 75025
 
 
 # ------------------------------- Pisano -------------------------------
@@ -373,11 +375,40 @@ def test_chain_cold_and_warm_agree(cold_links):
 
 def test_chain_refuses_a_lcm_that_is_not_a_period(cold_links):
     # a faulty prime-power entry (the period mod 3 is 8, not 4) makes the
-    # CRT lcm for 24 equal 12, which only the full-modulus check catches
+    # CRT lcm for 24 equal 12, which the period check on the part 3 catches
     cold_links[3] = factorize(4)
     with pytest.raises(FibTowerError):
         build_chain(1, factorize(24))
     assert 24 not in cold_links
+
+
+def test_chain_refuses_parts_that_share_a_factor(cold_links, monkeypatch):
+    # a composite taken for a prime: 20 and 60 are periods of the parts 5
+    # and 10, but their lcm 60 is not a period of 50 (pi(50) = 300)
+    with monkeypatch.context() as patched:
+        patched.setattr(modfib, "is_prime", lambda p: p in (5, 10))
+        target = FactoredNatural(50, ((5, 1), (10, 1)))
+    cold_links[10] = factorize(60)
+    assert fib_pair_mod(60, 50) != (0, 1)
+    with pytest.raises(FibTowerError, match="shares a factor"):
+        build_chain(1, target)
+    assert 50 not in cold_links
+
+
+def test_chain_checks_a_composite_modulus_by_its_parts(cold_links, monkeypatch):
+    # pi(8) = 12 and pi(3) = 8 certify pi(24) = 24 by the CRT, with no
+    # ladder mod 24
+    moduli = set()
+    is_period = modfib._is_period
+
+    def spy_is_period(t, modulus):
+        moduli.add(modulus)
+        return is_period(t, modulus)
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    assert build_chain(1, factorize(24)) == (24, 24)
+    assert {8, 3} <= moduli
+    assert 24 not in moduli
 
 
 def test_pisano_prime_refuses_a_cached_composite(cold_links):
