@@ -16,10 +16,14 @@ A level's modulus is S * F^e with S small. The part S_F of S whose primes
 divide F divides F^c for a least c and raises the exponent to E = e + c;
 the coprime rest S_0 is handled by F_{n (x mod pi(S_0))} mod S_0, and the
 two parts are joined by the CRT. The level below is then needed mod
-lcm(4 cop((E-1)!), pi(S_0)) * F^(E-1). pi(S_0) is the only Pisano period
-this route takes, always of a small number, and factorize, pisano_period
-and fib_mod are called on S_0 alone: the route shares no F_n-sized
-modulus, period or factorization with the chain route.
+lcm(4 cop((E-1)!) F^(E-1), pi(S_0)): a prime of F that pi(S_0) or the 4
+brings into the next S counts only beyond its power in F^(E-1). So E
+stays put or falls by one per level down the tower, except where F is
+twice an odd number (n == 3 mod 6): there the 4 adds one to E per level.
+pi(S_0) is the only Pisano period this route takes, always of a small
+number, and factorize, pisano_period and fib_mod are called on S_0 alone:
+the route shares no F_n-sized modulus, period or factorization with the
+chain route.
 
 The whole plan of (S, E) pairs is made before any level arithmetic, and
 lift_residue charges it against LIFT_BUDGET. Three checks can fail, each
@@ -82,7 +86,11 @@ def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], 
         t0 = pisano_period(factorize(s0)).value
         levels.append((s, e, s0, t0, top))
         if top >= 2:
-            s, e = lcm(4 * _coprime_part(factorial(top - 1), fn), t0), top - 1
+            # w is what _multiple_residue needs of x; the lcm, not a
+            # product, keeps E from growing (see the module docstring)
+            low = fn ** (top - 1)
+            w = 4 * _coprime_part(factorial(top - 1), fn) * low
+            s, e = lcm(w, t0) // low, top - 1
         else:
             s, e = t0, 0
     return levels, s, e

@@ -42,11 +42,13 @@ probabilistic above ~3.3e24.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
 always exact, i.e. on pi(p^2) = p * pi(p).
 
-This module serves the chain route of tower.analyze, which stops where
-factoring F_n does: when factorize_fib or build_chain raises
-FactorBudgetExceeded, analyze answers by route 3 (fibtower.lift), which
-never factors F_n and calls fib_mod, pisano_period and factorize here only
-on small moduli coprime to F_n.
+This module serves the chain route of tower.analyze, which certifies the
+report's chain and stops where factoring F_n does: when factorize_fib or
+build_chain raises FactorBudgetExceeded, the report's chain is empty.
+analyze takes the residue from route 3 (fibtower.lift), and evaluates the
+chain only when route 3 is over its budget. Route 3 never factors F_n and
+calls fib_mod, pisano_period and factorize here only on small moduli
+coprime to F_n.
 """
 
 from __future__ import annotations
@@ -442,8 +444,10 @@ def pisano_period_brute(m: int, cap: int | None = None) -> int:
 
 # ----------------------------- factoring F_n -----------------------------
 
-# n -> the factorization of F_n. Successes only: a refusal is never recorded.
+# n -> the factorization of F_n, and n -> the message of its refusal, under
+# one lock. A refusal depends on n alone, so it is recorded too.
 _fib_factor_cache: dict[int, FactoredNatural] = {}
+_fib_refusals: dict[int, str] = {}
 _fib_factor_cache_lock = threading.Lock()
 
 
@@ -460,8 +464,9 @@ def factorize_fib(n: int) -> FactoredNatural:
     already found leaves F_d's primitive part, which gets factorize's
     treatment under one DEFAULT_FACTOR_BUDGET shared by all the parts; a
     refusal names F_d. The exponents in F_n then come by exact division.
-    Finished factorizations are cached per process by n, refusals never,
-    so whether and how F_n is refused depends on n alone. Each prime's
+    Whether and how F_n is refused depends on n alone, so finished
+    factorizations and refusal messages are both cached per process by n:
+    a refused F_n spends its budget once per process. Each prime's
     period is certified (and cached) by descent from 4d, a period of F_d
     and hence of the prime, so the chain never factors p - 1 or 2(p + 1)
     for a prime of F_n.
@@ -470,8 +475,11 @@ def factorize_fib(n: int) -> FactoredNatural:
         raise ValueError("index must be positive")
     with _fib_factor_cache_lock:
         hit = _fib_factor_cache.get(n)
+        refusal = _fib_refusals.get(n)
     if hit is not None:
         return hit
+    if refusal is not None:
+        raise FactorBudgetExceeded(refusal)
     primes: list[int] = []
     used = 0
     for d in _divisors(n):
@@ -485,7 +493,9 @@ def factorize_fib(n: int) -> FactoredNatural:
                 found, part, DEFAULT_FACTOR_BUDGET, DEFAULT_FACTOR_SEED, used
             )
         except FactorBudgetExceeded as exc:
-            raise FactorBudgetExceeded(f"{exc} of F_{d}") from None
+            with _fib_factor_cache_lock:
+                refusal = _fib_refusals.setdefault(n, f"{exc} of F_{d}")
+            raise FactorBudgetExceeded(refusal) from None
         fresh = [p for p in found if _cached(p) is None]
         if fresh:
             candidate = factorize(4 * d).factor_map()

@@ -4,9 +4,9 @@ A tower is the sequence that starts at F_n^m and repeatedly applies
 x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
-large for k >= 3, so everything here is computed through Pisano chains,
-or, when F_n will not factor within budget, through route 3's F_n-adic
-lift (fibtower.lift), which never factors F_n.
+large for k >= 3, so everything here is computed through route 3's
+F_n-adic lift (fibtower.lift), which never factors F_n, or through Pisano
+chains, which analyze builds for its report.
 """
 
 from __future__ import annotations
@@ -206,16 +206,17 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
-    Two routes, the first that stays within its budget answering:
+    Two routes:
 
-    - the chain route: F_n is factored by factorize_fib and the chain
-      periods under DEFAULT_FACTOR_BUDGET; the chain build_chain certified
-      for F_n^(k+m) gives the report's chain periods, and the residue is
-      evaluated over its levels' prime-power parts (see _chain_residue);
-    - route 3, only when that raises FactorBudgetExceeded: lift_residue
-      expands the tower F_n-adically without factoring F_n. It claims no
-      minimal periods, so the report's chain is empty. When it too is over
-      its budget, LiftBudgetExceeded names both refusals.
+    - route 3 gives the residue: lift_residue expands the tower
+      F_n-adically without factoring F_n;
+    - the chain route gives the report's chain: F_n is factored by
+      factorize_fib and the chain periods under DEFAULT_FACTOR_BUDGET, and
+      build_chain certifies the chain for F_n^(k+m). When that raises
+      FactorBudgetExceeded the chain is empty. The chain is evaluated
+      (see _chain_residue) only when route 3 raises LiftBudgetExceeded;
+      when the chain was refused too, LiftBudgetExceeded names both
+      refusals.
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -228,15 +229,16 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
         try:
             target = factorize_fib(n).power(k + m)
             moduli = build_chain(k, target)
-        except FactorBudgetExceeded as refused:
-            try:
-                x = lift_residue(spec, k + m)
-            except LiftBudgetExceeded as exc:
-                raise LiftBudgetExceeded(f"{refused}; {exc}") from None
-            chain_summary = ()
+        except FactorBudgetExceeded as exc:
+            refused, chain_summary = exc, ()
         else:
+            refused, chain_summary = None, tuple(zip(moduli[1:], moduli))
+        try:
+            x = lift_residue(spec, k + m)
+        except LiftBudgetExceeded as exc:
+            if refused is not None:
+                raise LiftBudgetExceeded(f"{refused}; {exc}") from None
             x = _chain_residue(spec, chain_levels(k, target), fn)
-            chain_summary = tuple(zip(moduli[1:], moduli))
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0

@@ -202,7 +202,14 @@ def _feasible_grid_specs(limit: int):
 
 
 def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
-    """Exact results vs the chain engine and route 3 on every feasible grid spec."""
+    """Exact results vs route 3 and the chain engine on every feasible grid spec.
+
+    oracle_unit_agreement tests route 3 through analyze, which takes the
+    residue from it, and lift_agreement calls lift_residue directly; the
+    chain route's residue is checked by oracle_probe_agreement, whose
+    probes include F_n^(k+m), the modulus analyze would evaluate the chain
+    at.
+    """
     limit = oracle_budget(max_index)
     specs = list(_feasible_grid_specs(limit))
     exact = {spec: oracle_eval(spec, limit) for spec in specs}

@@ -34,6 +34,7 @@ def unit(spec):
 @given(k=st.integers(1, 8), n=st.integers(1, 90), m=st.integers(1, 12))
 @example(k=8, n=90, m=12)
 @example(k=8, n=3, m=12)
+@example(k=3, n=13, m=1)  # wrong if x is not carried mod 4 (u = F'^4)
 def test_lift_agrees_with_the_chain_route(k, n, m):
     spec = TowerSpec(k, n, m)
     target = factorize_fib(n).power(k + m)
@@ -111,10 +112,55 @@ def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
         lift_residue(TowerSpec(3, 5, 4), 7)
 
 
-def test_analyze_takes_route_3_only_when_factoring_is_refused(monkeypatch):
-    def refused(spec, e):
-        raise AssertionError(f"route 3 taken for {spec}")
+def test_analyze_takes_route_3_first_and_the_chain_route_when_it_is_refused(
+    monkeypatch,
+):
+    # a spec refused by both routes exits 3 naming both budgets:
+    # test_cli_analyze_budget_refusal_names_budget
+    specs = [TowerSpec(3, n, 1) for n in (3, 30, 90, 600)]
 
-    monkeypatch.setattr(tower, "lift_residue", refused)
-    for n in (3, 30, 90, 600):
-        assert analyze(TowerSpec(3, n, 1)).chain_summary
+    def not_evaluated(*args):
+        raise AssertionError("the chain was evaluated while route 3 answers")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tower, "_chain_residue", not_evaluated)
+        answered = {spec: analyze(spec) for spec in specs}
+    for rep in answered.values():
+        assert rep.match and rep.chain_summary
+
+    evaluated = []
+    chain_residue = tower._chain_residue
+
+    def spy(spec, *args):
+        evaluated.append(spec)
+        return chain_residue(spec, *args)
+
+    monkeypatch.setattr(lift, "LIFT_BUDGET", 0)
+    monkeypatch.setattr(tower, "_chain_residue", spy)
+    for spec in specs:
+        assert analyze(spec) == answered[spec]
+    assert evaluated == specs
+
+
+def test_plan_tops_do_not_grow_down_a_tall_tower():
+    spec = TowerSpec(100, 30, 1)
+    levels, _, _ = lift._plan(spec, fib(30), 101)
+    assert len(levels) == 99
+    assert max(top for *_, top in levels) <= spec.k + spec.m
+
+
+def test_lift_of_a_tall_tower_agrees_with_the_chain_route():
+    spec = TowerSpec(100, 30, 1)
+    target = factorize_fib(30).power(101)
+    assert lift_residue(spec, 101) == tower_residue(spec, target)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(k=st.integers(9, 40), n=st.integers(1, 40), m=st.integers(1, 3))
+@example(k=40, n=36, m=3)
+@example(k=40, n=3, m=3)
+@example(k=40, n=39, m=3)
+def test_lift_agrees_with_the_chain_route_on_tall_towers(k, n, m):
+    spec = TowerSpec(k, n, m)
+    target = factorize_fib(n).power(k + m)
+    assert lift_residue(spec, k + m) == tower_residue(spec, target)

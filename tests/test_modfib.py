@@ -173,9 +173,11 @@ def test_factorize_fib_equals_factorize():
 
 @pytest.fixture
 def cold_fib_factors(monkeypatch):
-    """An empty factorize_fib cache for one test; the process cache is restored."""
+    """Empty factorize_fib caches (factorizations, returned, and refusals)
+    for one test; the process caches are restored."""
     factors = {}
     monkeypatch.setattr(modfib, "_fib_factor_cache", factors)
+    monkeypatch.setattr(modfib, "_fib_refusals", {})
     return factors
 
 
@@ -212,6 +214,19 @@ def test_factorize_fib_refusal_ignores_call_order(cold_fib_factors):
     cold_fib_factors.clear()
     refusal(500)
     assert refusal(1000) == alone
+
+
+def test_factorize_fib_refuses_a_recorded_n_without_factoring(
+    cold_fib_factors, monkeypatch
+):
+    cold = refusal(500)
+
+    def refuse(*args):
+        raise AssertionError("a recorded refusal must not factor again")
+
+    monkeypatch.setattr(modfib, "_factor_into", refuse)
+    assert refusal(500) == cold
+    assert modfib._fib_refusals == {500: cold}
 
 
 def test_primitive_cache_under_concurrent_factorizations(cold_fib_factors):
