@@ -26,7 +26,11 @@ build_chain's one certifying walk: its prime-power parts must be pairwise
 coprime (their lcm is the modulus) and each part's cached period must pass
 the period check on the part; by the CRT the lcm of those periods is then
 the minimal period of the modulus, with no ladder on the full modulus.
-pisano_period does not cache composite moduli.
+That check runs once per (part, period) pair per process: build_chain
+records each pair whose check passed, under the cache lock, and skips the
+check for a recorded pair. A cache entry that was never checked is a pair
+not yet recorded, so it is still checked. pisano_period does not cache
+composite moduli.
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -165,7 +169,9 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    # signed: q matches the product of |x - y| up to sign
+                    # mod n, and gcd(q, n) is the same
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             used += min(r, k) * cost
@@ -177,7 +183,7 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
                 used += cost
                 if used > budget:
                     raise _budget_exhausted(budget, n)
@@ -190,7 +196,14 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FactoredNatural:
-    """A positive integer together with its complete prime factorization."""
+    """A positive integer together with its complete prime factorization.
+
+    The public constructor and from_factor_map validate the factors, each
+    prime by is_prime. The private _trusted skips that and serves only
+    results whose every prime was validated before: power() of a
+    validated object, and factorize_fib, whose primes passed is_prime (or
+    trial division) inside _factor_into.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -220,6 +233,16 @@ class FactoredNatural:
             value *= p**e
         return cls(value, items)
 
+    @classmethod
+    def _trusted(
+        cls, value: int, factors: tuple[tuple[int, int], ...]
+    ) -> "FactoredNatural":
+        """Construct without validation; every prime must be validated already."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     def factor_map(self) -> dict[int, int]:
         return dict(self.factors)
 
@@ -227,8 +250,10 @@ class FactoredNatural:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
-            return FactoredNatural(1, ())
-        return FactoredNatural(self.value**e, tuple((p, f * e) for p, f in self.factors))
+            return FactoredNatural._trusted(1, ())
+        return FactoredNatural._trusted(
+            self.value**e, tuple((p, f * e) for p, f in self.factors)
+        )
 
 
 def factorize(
@@ -337,6 +362,9 @@ def _is_period(t: int, m: int) -> bool:
 # --------------------------- Pisano periods ---------------------------
 
 _period_cache: dict[int, FactoredNatural] = {}
+# (prime-power part, period) pairs whose period check passed in build_chain;
+# keyed by the pair, so a cache entry that was never checked is still checked
+_proved_periods: set[tuple[int, int]] = set()
 _period_cache_lock = threading.Lock()
 
 
@@ -502,7 +530,7 @@ def factorize_fib(n: int) -> FactoredNatural:
             for p in fresh:
                 _certify_period(p, 1, candidate)
         primes.extend(found)
-    fn = fib(n)
+    value = fn = fib(n)
     exponents: dict[int, int] = {}
     for p in primes:
         e = 0
@@ -512,7 +540,9 @@ def factorize_fib(n: int) -> FactoredNatural:
         exponents[p] = e
     if fn != 1:
         raise FibTowerError(f"primitive parts of F_{n} leave a cofactor")
-    result = FactoredNatural.from_factor_map(exponents)
+    # every prime passed is_prime or trial division in _factor_into, and
+    # each divides F_n, so every exponent is positive
+    result = FactoredNatural._trusted(value, tuple(sorted(exponents.items())))
     with _fib_factor_cache_lock:
         return _fib_factor_cache.setdefault(n, result)
 
@@ -530,7 +560,9 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
     was certified by its descent; any other modulus is recorded only when
     its prime-power parts are pairwise coprime and each part's period
     passes the period check on the part, which by the CRT makes the lcm
-    its period without a check on the full modulus. The period bounds
+    its period without a check on the full modulus. A (part, period) pair
+    whose check passed is recorded in _proved_periods and not checked
+    again in this process; a pair never checked is. The period bounds
     come from factorize under DEFAULT_FACTOR_BUDGET, so this raises
     FactorBudgetExceeded when a bound resists that budget.
     """
@@ -547,11 +579,14 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
                 parts = [p**e for p, e in modulus.factors]
                 if lcm(*parts) != m:
                     raise FibTowerError(f"a part of chain modulus {m} shares a factor")
-                for part in parts:
-                    t = _cached(part).value
+                with _period_cache_lock:
+                    pairs = [(part, _period_cache[part].value) for part in parts]
+                    unproved = [pair for pair in pairs if pair not in _proved_periods]
+                for part, t in unproved:
                     if not _is_period(t, part):
                         raise FibTowerError(f"{t} is not a period mod {part}")
                 with _period_cache_lock:
+                    _proved_periods.update(unproved)
                     period = _period_cache.setdefault(m, period)
         moduli.append(period)
     return tuple(modulus.value for modulus in reversed(moduli))

@@ -126,6 +126,25 @@ def test_factor_budget_exceeded():
         factorize(p * q, budget=50)
 
 
+def test_brent_rho_factor_and_units_are_pinned():
+    # the product of |x - y| and the one of x - y differ only in sign mod n,
+    # so every factor, unit count and refusal stays as these pins record
+    seed = modfib.DEFAULT_FACTOR_SEED
+    n = 4_294_967_291 * 4_294_967_279
+    assert modfib._brent_rho(n, seed, 10**9, 0) == (4_294_967_279, 98_558)
+    assert modfib._brent_rho(n, 7, 10**9, 0) == (4_294_967_279, 225_022)
+    assert modfib._brent_rho(1_000_003 * 1_000_033, seed, 10**9, 1000) == (
+        1_000_003,
+        2022,
+    )
+    # the batched gcd reaches n here, so the factor comes from the backtrack
+    assert modfib._brent_rho(100_103 * 100_109, seed, 10**9, 0) == (100_103, 547)
+    with pytest.raises(
+        FactorBudgetExceeded, match=r"^rho budget 100 exhausted on a 20-digit cofactor$"
+    ):
+        modfib._brent_rho(n, seed, 100, 0)
+
+
 def test_primality_and_rho_beyond_int_str_digit_limit():
     # both derive their random parameters from n itself; str(n) refuses ints
     # longer than the interpreter's limit (4300 digits by default, 640 at least)
@@ -286,6 +305,40 @@ def test_factored_natural_validation():
     assert f.power(3).value == 75025**3
 
 
+def test_powers_and_factorize_fib_results_test_no_prime_again(
+    cold_fib_factors, monkeypatch
+):
+    # their primes were validated where they came from; is_prime runs only
+    # inside factoring (the period of every prime of F_120 is warm here)
+    fn = factorize_fib(120)
+    cold_fib_factors.clear()
+    factoring, outside = [0], []
+    real_is_prime, factor_into = modfib.is_prime, modfib._factor_into
+
+    def spy_is_prime(p):
+        if not factoring[0]:
+            outside.append(p)
+        return real_is_prime(p)
+
+    def spy_factor_into(*args):
+        factoring[0] += 1
+        try:
+            return factor_into(*args)
+        finally:
+            factoring[0] -= 1
+
+    with monkeypatch.context() as patched:
+        patched.setattr(modfib, "is_prime", spy_is_prime)
+        patched.setattr(modfib, "_factor_into", spy_factor_into)
+        cold = factorize_fib(120)
+        powers = {e: fn.power(e) for e in (0, 1, 5)}
+    assert outside == []
+    assert cold == fn == factorize(fib(120))
+    for e, power in powers.items():
+        expected = FactoredNatural.from_factor_map({p: f * e for p, f in fn.factors})
+        assert power == expected and hash(power) == hash(expected), e
+
+
 # ------------------------------- Pisano -------------------------------
 
 
@@ -426,6 +479,35 @@ def test_chain_checks_a_composite_modulus_by_its_parts(cold_links, monkeypatch):
     assert 24 not in moduli
 
 
+def test_chain_proves_each_part_period_pair_once(cold_links, monkeypatch):
+    # 24 and 10 prove (8, 12), (3, 8), (2, 3) and (5, 20); the cold chain
+    # 15 -> 40 -> 60 has the parts 3, 5 and 8, 5, so it checks nothing
+    build_chain(1, factorize(24))
+    build_chain(1, factorize(10))
+    checked = []
+    is_period = modfib._is_period
+
+    def spy_is_period(t, modulus):
+        checked.append(modulus)
+        return is_period(t, modulus)
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    assert build_chain(2, factorize(15)) == (60, 40, 15)
+    assert checked == []
+    assert_certified(cold_links)
+
+
+def test_proved_part_periods_are_keyed_by_the_pair(cold_links):
+    # (3, 8) is proved through the composite 6; the faulty entry planted
+    # for the part 3 afterwards makes the pair (3, 4), never checked
+    build_chain(1, factorize(6))
+    assert (3, 8) in modfib._proved_periods
+    cold_links[3] = factorize(4)
+    with pytest.raises(FibTowerError):
+        build_chain(1, factorize(24))
+    assert 24 not in cold_links
+
+
 def test_pisano_prime_refuses_a_cached_composite(cold_links):
     build_chain(2, factorize(9))
     assert cold_links[9].value == 24
@@ -522,6 +604,34 @@ def test_period_cache_under_concurrent_chains(cold_links):
     linked = {m: t for chain in expected.values() for t, m in zip(chain, chain[1:])}
     assert all(cold_links[m].value == t for m, t in linked.items())
     assert_certified(cold_links)
+
+
+def test_proved_pairs_under_concurrent_chains(cold_links):
+    # threads that start from no proved pair record every pair that one
+    # thread alone records, and no other
+    targets = [factorize(fib(n)).power(e) for n in (24, 30, 36) for e in (2, 3)]
+    expected = {t.value: build_chain(3, t) for t in targets}
+    proved = set(modfib._proved_periods)
+    cold_links.clear()
+    modfib._proved_periods.clear()
+    results = []
+
+    def work():
+        results.extend((t.value, build_chain(3, t)) for t in targets)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == sorted(list(expected.items()) * 4)
+    assert proved and modfib._proved_periods == proved
 
 
 def test_chain_depth_validation():
