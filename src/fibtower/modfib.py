@@ -11,38 +11,35 @@ runs mod 5m so that F = (2 L_{k+1} - L_k) / 5 and its neighbour come out
 by exact division for every m.
 
 Certified periods live in one per-process cache (modulus value -> period)
-under one lock. Every entry is proved the minimal period of its modulus:
-a prime power's by the period check on that exact modulus, any other
-modulus's through its parts (below). A prime power p^e enters by divisor
-descent over p alone, above the certified period(p): period(p) divides
-period(p^e), which divides p^(e-1) * period(p) (Wall 1960), so no other
-prime can be stripped. period(p) divides p - 1 or 2(p + 1) according to
-p mod 5. A prime of F_n gets a smaller candidate from factorize_fib:
-F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so period(F_n), and with it
-period(p), divides 4n (Carmichael 1913; Wall 1960), and it is descended
-from the 4d of the first F_d that p divides, never from p - 1 or
-2(p + 1). Any other modulus enters only as a chain modulus, in
-build_chain's one certifying walk: its prime-power parts must be pairwise
-coprime (their lcm is the modulus) and each part's cached period must pass
-the period check on the part; by the CRT the lcm of those periods is then
-the minimal period of the modulus, with no ladder on the full modulus.
-That check runs once per (part, period) pair per process: build_chain
-records each pair whose check passed, under the cache lock, and skips the
-check for a recorded pair. A cache entry that was never checked is a pair
-not yet recorded, so it is still checked. pisano_period does not cache
-composite moduli.
+under one lock. Every entry is proved the minimal period of its modulus,
+and _certify_period is the one place a period is checked: a prime power's
+entry is written there, after the period check on that exact modulus,
+and any other modulus's comes from its parts (below). A prime power p^e
+enters by divisor descent over p alone, above the certified period(p):
+period(p) divides period(p^e), which divides p^(e-1) * period(p) (Wall
+1960), so no other prime can be stripped. period(p) divides p - 1 or
+2(p + 1) according to p mod 5. A prime of F_n gets a smaller candidate
+from factorize_fib: F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so
+period(F_n), and with it period(p), divides 4n (Carmichael 1913; Wall
+1960), and it is descended from the 4d of the first F_d that p divides,
+never from p - 1 or 2(p + 1). Any other modulus enters only as a chain
+modulus, in the one chain walk (_walk) that build_chain and chain_levels
+share: its prime-power parts must be pairwise coprime (their lcm is the
+modulus, checked on the values, not taken from is_prime), and by the CRT
+the lcm of their cached periods is then the minimal period of the
+modulus, with no ladder on the full modulus and no second check on a
+part. pisano_period does not cache composite moduli.
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
 nothing re-checks a chain afterwards, and no path takes a claimed period.
-The per-part checks back those reported chain periods; the coprimality
-is checked on the parts' values, not taken from is_prime. The residue
-does not rest on them: chain_levels hands the evaluator each level as its
-prime-power parts, each with a period that passed the period check on the
-part itself, and the evaluator checks that every part's period divides
-the modulus one level down and that the parts are coprime (the CRT
-inverse exists). So the residue does not rest on is_prime, which is
-probabilistic above ~3.3e24.
+The residue does not rest on the composite entries: chain_levels hands
+the evaluator each level as its prime-power parts, each with the part's
+own entry, which passed the period check on the part in _certify_period,
+and the evaluator checks that every part's period divides the modulus
+one level down and that the parts are coprime (the CRT inverse exists).
+So the residue does not rest on is_prime, which is probabilistic above
+~3.3e24.
 Nothing relies on the (open) question of whether the p^(e-1) scaling is
 always exact, i.e. on pi(p^2) = p * pi(p).
 
@@ -361,10 +358,11 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
+# modulus -> its certified minimal period, under one lock. A prime-power
+# entry is written only by _certify_period, after its period check on that
+# modulus; any other entry only by the chain walk (_walk), as the lcm of
+# such entries over parts whose lcm is the modulus.
 _period_cache: dict[int, FactoredNatural] = {}
-# (prime-power part, period) pairs whose period check passed in build_chain;
-# keyed by the pair, so a cache entry that was never checked is still checked
-_proved_periods: set[tuple[int, int]] = set()
 _period_cache_lock = threading.Lock()
 
 
@@ -550,21 +548,16 @@ def factorize_fib(n: int) -> FactoredNatural:
 # ----------------------------- period chains -----------------------------
 
 
-def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
-    """Modulus sequence of a depth-k tower evaluation ending at target.
+def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
+    """target's chain, factored, target first: k + 1 moduli, each entry
+    after the first the certified minimal period of the entry before it.
 
-    Returns k + 1 moduli, bottom period first and target last; every entry
-    but the last is the certified minimal period of the entry after it.
-    This is the one certifying walk, built target-first: each level is a
-    cache hit or, on a miss, the CRT lcm from pisano_period. A prime power
-    was certified by its descent; any other modulus is recorded only when
-    its prime-power parts are pairwise coprime and each part's period
-    passes the period check on the part, which by the CRT makes the lcm
-    its period without a check on the full modulus. A (part, period) pair
-    whose check passed is recorded in _proved_periods and not checked
-    again in this process; a pair never checked is. The period bounds
-    come from factorize under DEFAULT_FACTOR_BUDGET, so this raises
-    FactorBudgetExceeded when a bound resists that budget.
+    Each level is a cache hit or, on a miss, the CRT lcm from
+    pisano_period of its prime-power parts' entries, each certified by
+    _certify_period. A modulus with more than one part is recorded once
+    the parts are pairwise coprime (their lcm is the modulus, checked on
+    the values, not taken from is_prime); by the CRT the lcm is then its
+    period, with no period check here.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
@@ -576,20 +569,24 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
         if period is None:
             period = pisano_period(modulus)
             if len(modulus.factors) > 1:
-                parts = [p**e for p, e in modulus.factors]
-                if lcm(*parts) != m:
+                if lcm(*(p**e for p, e in modulus.factors)) != m:
                     raise FibTowerError(f"a part of chain modulus {m} shares a factor")
                 with _period_cache_lock:
-                    pairs = [(part, _period_cache[part].value) for part in parts]
-                    unproved = [pair for pair in pairs if pair not in _proved_periods]
-                for part, t in unproved:
-                    if not _is_period(t, part):
-                        raise FibTowerError(f"{t} is not a period mod {part}")
-                with _period_cache_lock:
-                    _proved_periods.update(unproved)
                     period = _period_cache.setdefault(m, period)
         moduli.append(period)
-    return tuple(modulus.value for modulus in reversed(moduli))
+    return moduli
+
+
+def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
+    """Modulus sequence of a depth-k tower evaluation ending at target.
+
+    Returns k + 1 moduli, bottom period first and target last; every entry
+    but the last is the certified minimal period of the entry after it
+    (see _walk). The period bounds come from factorize under
+    DEFAULT_FACTOR_BUDGET, so this raises FactorBudgetExceeded when a
+    bound resists that budget.
+    """
+    return tuple(modulus.value for modulus in reversed(_walk(k, target)))
 
 
 def chain_levels(k: int, target: FactoredNatural) -> list[list[tuple[int, int]]]:
@@ -597,19 +594,14 @@ def chain_levels(k: int, target: FactoredNatural) -> list[list[tuple[int, int]]]
     part, period) pairs.
 
     Levels run bottom first, as build_chain's moduli do, without the bottom
-    period. The target's parts are its factors; each lower modulus is
-    factored by the cache entry of the modulus above it (the period
-    build_chain certified; the modulus 1, which it does not record, is its
-    own period), and each part's period is the part's own entry, which
-    passed the period check on the part itself. Call it after
-    build_chain(k, target): it only reads what that walk recorded.
+    period. The moduli come from the same walk as build_chain's, and each
+    part's period is the part's own cache entry, certified by
+    _certify_period on the part itself. Raises as build_chain does.
     """
     # Lists, not tuples: a tuple per level, of as many sizes as levels have
     # parts, would stay in the interpreter's per-size tuple free lists
     # (about 0.4 MB more peak RSS over a 1365-row sweep).
-    levels = []
-    fac = target
-    for _ in range(k):
-        levels.append([(p**e, _pisano_prime_power(p, e).value) for p, e in fac.factors])
-        fac = _cached(fac.value) or pisano_period(fac)
-    return levels[::-1]
+    return [
+        [(p**e, _pisano_prime_power(p, e).value) for p, e in modulus.factors]
+        for modulus in reversed(_walk(k, target)[:-1])
+    ]

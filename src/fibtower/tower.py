@@ -185,13 +185,12 @@ def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
     """Tower value mod modulus, via a depth-k Pisano chain.
 
     Sound because F_i mod P depends on i only through i mod period(P):
-    build_chain certifies the chain, and each level is evaluated over its
-    prime-power parts P, each index reduced mod period(P), which divides
-    the modulus one level down.
+    chain_levels walks the chain, certifying what the cache lacks, and
+    each level is evaluated over its prime-power parts P, each index
+    reduced mod period(P), which divides the modulus one level down.
     """
     if not isinstance(modulus, FactoredNatural):
         modulus = factorize(modulus)
-    build_chain(spec.k, modulus)
     return _chain_residue(spec, chain_levels(spec.k, modulus), fib(spec.n))
 
 

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from decimal import Decimal
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -13,6 +13,7 @@ from fibtower import (
     FactorBudgetExceeded,
     FactoredNatural,
     FibTowerError,
+    TowerSpec,
     build_chain,
     factorize,
     factorize_fib,
@@ -23,6 +24,7 @@ from fibtower import (
     pisano_period,
     pisano_period_brute,
     pisano_prime,
+    tower_residue,
 )
 from fibtower import modfib
 
@@ -441,13 +443,14 @@ def test_chain_cold_and_warm_agree(cold_links):
         assert t == pisano_period(factorize(m)).value
 
 
-def test_chain_refuses_a_lcm_that_is_not_a_period(cold_links):
-    # a faulty prime-power entry (the period mod 3 is 8, not 4) makes the
-    # CRT lcm for 24 equal 12, which the period check on the part 3 catches
-    cold_links[3] = factorize(4)
-    with pytest.raises(FibTowerError):
-        build_chain(1, factorize(24))
-    assert 24 not in cold_links
+def test_chain_levels_walk_the_chain_themselves(cold_links):
+    # no build_chain first: chain_levels certifies what the cache lacks
+    target = factorize_fib(30).power(5)
+    cold = modfib.chain_levels(4, target)
+    moduli = build_chain(4, target)
+    assert modfib.chain_levels(4, target) == cold
+    assert [prod(part for part, _ in level) for level in cold] == list(moduli[1:])
+    assert lcm(*(t for _, t in cold[0])) == moduli[0]
 
 
 def test_chain_refuses_parts_that_share_a_factor(cold_links, monkeypatch):
@@ -479,9 +482,10 @@ def test_chain_checks_a_composite_modulus_by_its_parts(cold_links, monkeypatch):
     assert 24 not in moduli
 
 
-def test_chain_proves_each_part_period_pair_once(cold_links, monkeypatch):
-    # 24 and 10 prove (8, 12), (3, 8), (2, 3) and (5, 20); the cold chain
-    # 15 -> 40 -> 60 has the parts 3, 5 and 8, 5, so it checks nothing
+def test_chain_checks_no_cached_part_again(cold_links, monkeypatch):
+    # 24 and 10 certify the periods of the parts 8, 3, 2 and 5; the cold
+    # chain 15 -> 40 -> 60 has the parts 3, 5 and 8, 5, all cached, so it
+    # checks nothing
     build_chain(1, factorize(24))
     build_chain(1, factorize(10))
     checked = []
@@ -495,17 +499,6 @@ def test_chain_proves_each_part_period_pair_once(cold_links, monkeypatch):
     assert build_chain(2, factorize(15)) == (60, 40, 15)
     assert checked == []
     assert_certified(cold_links)
-
-
-def test_proved_part_periods_are_keyed_by_the_pair(cold_links):
-    # (3, 8) is proved through the composite 6; the faulty entry planted
-    # for the part 3 afterwards makes the pair (3, 4), never checked
-    build_chain(1, factorize(6))
-    assert (3, 8) in modfib._proved_periods
-    cold_links[3] = factorize(4)
-    with pytest.raises(FibTowerError):
-        build_chain(1, factorize(24))
-    assert 24 not in cold_links
 
 
 def test_pisano_prime_refuses_a_cached_composite(cold_links):
@@ -540,6 +533,39 @@ def test_prime_power_chain_checks_its_modulus_only_in_descent(
     assert build_chain(1, factorize(m)) == (pisano_period_brute(m), m)
     assert calls and all(calls)
     assert cold_links[m].value == pisano_period_brute(m)
+
+
+def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
+    # a composite chain modulus, and a tower evaluated over 216 = 8 * 27:
+    # every period check runs inside _certify_period
+    depth = [0]
+    calls = []
+    is_period, certify = modfib._is_period, modfib._certify_period
+
+    def spy_is_period(t, modulus):
+        calls.append(depth[0])
+        return is_period(t, modulus)
+
+    def spy_certify(*args):
+        depth[0] += 1
+        try:
+            return certify(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    monkeypatch.setattr(modfib, "_certify_period", spy_certify)
+    assert build_chain(2, factorize(15)) == (60, 40, 15)
+    tower_residue(TowerSpec(2, 5, 1), 216)
+    assert calls and all(calls)
+    assert 216 in cold_links
+
+
+def test_certify_period_refuses_an_invalid_candidate(cold_links):
+    # 4 is not a period mod 3 (pi(3) = 8), and nothing is cached
+    with pytest.raises(FibTowerError, match="period candidate 4 invalid for modulus 3"):
+        modfib._certify_period(3, 1, {2: 2})
+    assert 3 not in cold_links
 
 
 def test_prime_power_descent_matches_brute(cold_links):
@@ -604,34 +630,6 @@ def test_period_cache_under_concurrent_chains(cold_links):
     linked = {m: t for chain in expected.values() for t, m in zip(chain, chain[1:])}
     assert all(cold_links[m].value == t for m, t in linked.items())
     assert_certified(cold_links)
-
-
-def test_proved_pairs_under_concurrent_chains(cold_links):
-    # threads that start from no proved pair record every pair that one
-    # thread alone records, and no other
-    targets = [factorize(fib(n)).power(e) for n in (24, 30, 36) for e in (2, 3)]
-    expected = {t.value: build_chain(3, t) for t in targets}
-    proved = set(modfib._proved_periods)
-    cold_links.clear()
-    modfib._proved_periods.clear()
-    results = []
-
-    def work():
-        results.extend((t.value, build_chain(3, t)) for t in targets)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert sorted(results) == sorted(list(expected.items()) * 4)
-    assert proved and modfib._proved_periods == proved
 
 
 def test_chain_depth_validation():
