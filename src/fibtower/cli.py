@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 mathematical mismatch (a would-be counterexample,
-or an internal consistency check that failed), 2 usage error, 3 resource
-budget exhausted.
+or an internal consistency check that failed), 2 usage error or output
+that cannot be written, 3 resource budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
@@ -227,6 +230,24 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is held until the command ends, so that a failed write (a
+    # closed pipe, a full disk) is told apart from the command's own errors
+    with redirect_stdout(io.StringIO()) as out:
+        code = _run(argv)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

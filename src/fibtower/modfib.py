@@ -11,37 +11,35 @@ runs mod 5m so that F = (2 L_{k+1} - L_k) / 5 and its neighbour come out
 by exact division for every m.
 
 Certified periods live in one per-process cache (modulus value -> period)
-under one lock. Every entry is proved the minimal period of its modulus,
-and _certify_period is the one place a period is checked: a prime power's
-entry is written there, after the period check on that exact modulus,
-and any other modulus's comes from its parts (below). A prime power p^e
-enters by divisor descent over p alone, above the certified period(p):
-period(p) divides period(p^e), which divides p^(e-1) * period(p) (Wall
-1960), so no other prime can be stripped. period(p) divides p - 1 or
-2(p + 1) according to p mod 5. A prime of F_n gets a smaller candidate
-from factorize_fib: F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so
-period(F_n), and with it period(p), divides 4n (Carmichael 1913; Wall
-1960), and it is descended from the 4d of the first F_d that p divides,
-never from p - 1 or 2(p + 1). Any other modulus enters only as a chain
-modulus, in the one chain walk (_walk) that build_chain and chain_levels
-share: its prime-power parts must be pairwise coprime (their lcm is the
-modulus, checked on the values, not taken from is_prime), and by the CRT
-the lcm of their cached periods is then the minimal period of the
-modulus, with no ladder on the full modulus and no second check on a
-part. pisano_period does not cache composite moduli.
+under one lock. Every entry is proved the minimal period of its modulus.
+A prime's period is checked in one place, _certify_period, by divisor
+descent from a candidate: period(p) divides p - 1 or 2(p + 1) according
+to p mod 5. A prime of F_n gets a smaller candidate from factorize_fib:
+F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so period(F_n), and with it
+period(p), divides 4n (Carmichael 1913; Wall 1960), and it is descended
+from the 4d of the first F_d that p divides, never from p - 1 or
+2(p + 1). A prime power p^e takes Wall's rule (_pisano_prime_power), with
+no ladder mod p^e above p^(t+1), and nothing rests on the open question
+whether period(p^2) != period(p) for every prime: a Wall-Sun-Sun prime
+would only give t >= 2. Any other modulus enters only as a chain modulus,
+in the one chain walk (_walk) that build_chain and chain_levels share:
+its prime-power parts must be pairwise coprime (their lcm is the modulus,
+checked on the values, not taken from is_prime), and by the CRT the lcm
+of their cached periods is then the minimal period of the modulus, with
+no ladder on the full modulus and no second check on a part.
+pisano_period does not cache composite moduli.
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
 nothing re-checks a chain afterwards, and no path takes a claimed period.
 The residue does not rest on the composite entries: chain_levels hands
 the evaluator each level as its prime-power parts, each with the part's
-own entry, which passed the period check on the part in _certify_period,
-and the evaluator checks that every part's period divides the modulus
-one level down and that the parts are coprime (the CRT inverse exists).
-So the residue does not rest on is_prime, which is probabilistic above
-~3.3e24.
-Nothing relies on the (open) question of whether the p^(e-1) scaling is
-always exact, i.e. on pi(p^2) = p * pi(p).
+own entry, which is a period of the part whether or not p is prime (see
+_period_cache), and the evaluator checks that every part's period
+divides the modulus one level down and that the parts are coprime (the
+CRT inverse exists). So the residue does not rest on is_prime, which is
+probabilistic above ~3.3e24; only the minimality of a prime power's
+entry, which the report's chain prints, rests on p being prime.
 
 This module serves the chain route of tower.analyze, which certifies the
 report's chain and stops where factoring F_n does: when factorize_fib or
@@ -358,10 +356,14 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-# modulus -> its certified minimal period, under one lock. A prime-power
-# entry is written only by _certify_period, after its period check on that
-# modulus; any other entry only by the chain walk (_walk), as the lcm of
-# such entries over parts whose lcm is the modulus.
+# modulus -> its certified minimal period, under one lock. A prime's entry
+# is written only by _certify_period, after its period check; a prime
+# power's only by Wall's rule in _pisano_prime_power, from the certified
+# period(p) and the checks mod p^2 ... p^(t+1); any other entry only by the
+# chain walk (_walk), as the lcm of such entries over parts whose lcm is
+# the modulus. A prime power's entry is a period for any integer p: with A
+# the Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
+# A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
 _period_cache: dict[int, FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
 
@@ -371,34 +373,26 @@ def _cached(m: int) -> FactoredNatural | None:
         return _period_cache.get(m)
 
 
-def _certify_period(
-    p: int, e: int, candidate: dict[int, int], floor: dict[int, int] | None = None
-) -> FactoredNatural:
-    """Minimal period mod p^e from a factored valid candidate, cached.
+def _certify_period(p: int, candidate: dict[int, int]) -> FactoredNatural:
+    """Minimal period mod the prime p from a factored valid candidate, cached.
 
     Valid indices are exactly the multiples of the true period, so stripping
     prime factors while the property survives converges to it regardless of
-    the order primes are tried. floor, when given, is a factored divisor of
-    the true period: the descent never strips a prime below its exponent
-    there, and the result is still minimal. For e >= 2 the floor is the
-    certified period(p), which divides period(p^e), and the candidate is
-    period(p) * p^(e-1), so only p is ever stripped.
+    the order primes are tried.
     """
-    m = p**e
     cur = 1
     for q, f in candidate.items():
         cur *= q**f
-    if not _is_period(cur, m):
-        raise FibTowerError(f"period candidate {cur} invalid for modulus {m}")
+    if not _is_period(cur, p):
+        raise FibTowerError(f"period candidate {cur} invalid for modulus {p}")
     fac = dict(candidate)
-    floor = floor or {}
     for q in sorted(fac):
-        while fac[q] > floor.get(q, 0) and _is_period(cur // q, m):
+        while fac[q] and _is_period(cur // q, p):
             cur //= q
             fac[q] -= 1
     result = FactoredNatural.from_factor_map(fac)
     with _period_cache_lock:
-        return _period_cache.setdefault(m, result)
+        return _period_cache.setdefault(p, result)
 
 
 def pisano_prime(p: int) -> int:
@@ -415,22 +409,30 @@ def pisano_prime(p: int) -> int:
     if hit is not None:
         return hit.value
     bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    return _certify_period(p, 1, factorize(bound).factor_map()).value
+    return _certify_period(p, factorize(bound).factor_map()).value
 
 
 def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
-    """Period mod p^e, factored. Candidate p^(e-1)*period(p), then descent
-    over p alone above period(p), which divides period(p^e) (Wall 1960)."""
-    hit = _cached(p**e)
+    """Period mod p^e, factored, by Wall's rule (Wall 1960): with t the
+    largest j <= e for which period(p) is a period mod p^j, it is
+    p^(e-t) * period(p). The checks mod p^2, p^3, ... stop at the first
+    that fails, which for every known prime is the one mod p^2."""
+    m = p**e
+    hit = _cached(m)
     if hit is not None:
         return hit
     pisano_prime(p)  # certifies and caches p
     base = _cached(p)
     if e == 1:
         return base
-    floor = base.factor_map()
-    candidate = {**floor, p: floor.get(p, 0) + (e - 1)}
-    return _certify_period(p, e, candidate, floor)
+    t = 1
+    while t < e and _is_period(base.value, p ** (t + 1)):
+        t += 1
+    fac = base.factor_map()
+    fac[p] = fac.get(p, 0) + e - t
+    result = FactoredNatural.from_factor_map(fac)
+    with _period_cache_lock:
+        return _period_cache.setdefault(m, result)
 
 
 def pisano_period(m: FactoredNatural) -> FactoredNatural:
@@ -526,7 +528,7 @@ def factorize_fib(n: int) -> FactoredNatural:
         if fresh:
             candidate = factorize(4 * d).factor_map()
             for p in fresh:
-                _certify_period(p, 1, candidate)
+                _certify_period(p, candidate)
         primes.extend(found)
     value = fn = fib(n)
     exponents: dict[int, int] = {}
@@ -553,11 +555,11 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
     after the first the certified minimal period of the entry before it.
 
     Each level is a cache hit or, on a miss, the CRT lcm from
-    pisano_period of its prime-power parts' entries, each certified by
-    _certify_period. A modulus with more than one part is recorded once
-    the parts are pairwise coprime (their lcm is the modulus, checked on
-    the values, not taken from is_prime); by the CRT the lcm is then its
-    period, with no period check here.
+    pisano_period of its prime-power parts' entries (see _period_cache).
+    A modulus with more than one part is recorded once the parts are
+    pairwise coprime (their lcm is the modulus, checked on the values, not
+    taken from is_prime); by the CRT the lcm is then its period, with no
+    period check here.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
@@ -570,7 +572,9 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
             period = pisano_period(modulus)
             if len(modulus.factors) > 1:
                 if lcm(*(p**e for p, e in modulus.factors)) != m:
-                    raise FibTowerError(f"a part of chain modulus {m} shares a factor")
+                    raise FibTowerError(
+                        f"a part of a {m.bit_length()}-bit chain modulus shares a factor"
+                    )
                 with _period_cache_lock:
                     period = _period_cache.setdefault(m, period)
         moduli.append(period)
@@ -595,8 +599,8 @@ def chain_levels(k: int, target: FactoredNatural) -> list[list[tuple[int, int]]]
 
     Levels run bottom first, as build_chain's moduli do, without the bottom
     period. The moduli come from the same walk as build_chain's, and each
-    part's period is the part's own cache entry, certified by
-    _certify_period on the part itself. Raises as build_chain does.
+    part's period is the part's own cache entry (see _period_cache).
+    Raises as build_chain does.
     """
     # Lists, not tuples: a tuple per level, of as many sizes as levels have
     # parts, would stay in the interpreter's per-size tuple free lists

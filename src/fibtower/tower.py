@@ -187,7 +187,8 @@ def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
     Sound because F_i mod P depends on i only through i mod period(P):
     chain_levels walks the chain, certifying what the cache lacks, and
     each level is evaluated over its prime-power parts P, each index
-    reduced mod period(P), which divides the modulus one level down.
+    reduced mod period(P), which divides the modulus one level down and,
+    from Wall's rule, is a period of P even were P's base composite.
     """
     if not isinstance(modulus, FactoredNatural):
         modulus = factorize(modulus)

@@ -455,20 +455,28 @@ def test_chain_levels_walk_the_chain_themselves(cold_links):
 
 def test_chain_refuses_parts_that_share_a_factor(cold_links, monkeypatch):
     # a composite taken for a prime: 20 and 60 are periods of the parts 5
-    # and 10, but their lcm 60 is not a period of 50 (pi(50) = 300)
+    # and 10, but their lcm 60 is not a period of 50 (pi(50) = 300). The
+    # second target is past int's 4300-digit str limit, so the refusal must
+    # not print the modulus in decimal
+    big = 10**4400
     with monkeypatch.context() as patched:
-        patched.setattr(modfib, "is_prime", lambda p: p in (5, 10))
-        target = FactoredNatural(50, ((5, 1), (10, 1)))
-    cold_links[10] = factorize(60)
+        patched.setattr(modfib, "is_prime", lambda p: p in (5, 10, big))
+        targets = [
+            FactoredNatural(50, ((5, 1), (10, 1))),
+            FactoredNatural(5 * big, ((5, 1), (big, 1))),
+        ]
+    cold_links[10] = cold_links[big] = factorize(60)
     assert fib_pair_mod(60, 50) != (0, 1)
-    with pytest.raises(FibTowerError, match="shares a factor"):
-        build_chain(1, target)
-    assert 50 not in cold_links
+    for target in targets:
+        with pytest.raises(FibTowerError, match="shares a factor"):
+            build_chain(1, target)
+        assert target.value not in cold_links
 
 
 def test_chain_checks_a_composite_modulus_by_its_parts(cold_links, monkeypatch):
     # pi(8) = 12 and pi(3) = 8 certify pi(24) = 24 by the CRT, with no
-    # ladder mod 24
+    # ladder mod 24; pi(8) comes from pi(2) = 3 by Wall's check mod 4, with
+    # no ladder mod 8
     moduli = set()
     is_period = modfib._is_period
 
@@ -478,8 +486,8 @@ def test_chain_checks_a_composite_modulus_by_its_parts(cold_links, monkeypatch):
 
     monkeypatch.setattr(modfib, "_is_period", spy_is_period)
     assert build_chain(1, factorize(24)) == (24, 24)
-    assert {8, 3} <= moduli
-    assert 24 not in moduli
+    assert {2, 4, 3} <= moduli
+    assert not moduli & {8, 24}
 
 
 def test_chain_checks_no_cached_part_again(cold_links, monkeypatch):
@@ -508,42 +516,32 @@ def test_pisano_prime_refuses_a_cached_composite(cold_links):
         pisano_prime(9)
 
 
-def test_prime_power_chain_checks_its_modulus_only_in_descent(
-    cold_links, monkeypatch
-):
+def test_prime_power_chain_never_checks_its_modulus(cold_links, monkeypatch):
+    # Wall's rule takes pi(7^3) from pi(7) and one check mod 7^2
     m = 7**3
-    depth = [0]
-    calls = []
-    is_period, certify = modfib._is_period, modfib._certify_period
+    moduli = set()
+    is_period = modfib._is_period
 
     def spy_is_period(t, modulus):
-        if modulus == m:
-            calls.append(depth[0])
+        moduli.add(modulus)
         return is_period(t, modulus)
 
-    def spy_certify(*args):
-        depth[0] += 1
-        try:
-            return certify(*args)
-        finally:
-            depth[0] -= 1
-
     monkeypatch.setattr(modfib, "_is_period", spy_is_period)
-    monkeypatch.setattr(modfib, "_certify_period", spy_certify)
     assert build_chain(1, factorize(m)) == (pisano_period_brute(m), m)
-    assert calls and all(calls)
+    assert m not in moduli
     assert cold_links[m].value == pisano_period_brute(m)
 
 
 def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
     # a composite chain modulus, and a tower evaluated over 216 = 8 * 27:
-    # every period check runs inside _certify_period
+    # every period check runs either inside _certify_period, mod a prime, or
+    # in Wall's check, at index pi(p) mod a power p^j; none in _walk
     depth = [0]
     calls = []
     is_period, certify = modfib._is_period, modfib._certify_period
 
     def spy_is_period(t, modulus):
-        calls.append(depth[0])
+        calls.append((depth[0], t, modulus))
         return is_period(t, modulus)
 
     def spy_certify(*args):
@@ -557,20 +555,27 @@ def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
     monkeypatch.setattr(modfib, "_certify_period", spy_certify)
     assert build_chain(2, factorize(15)) == (60, 40, 15)
     tower_residue(TowerSpec(2, 5, 1), 216)
-    assert calls and all(calls)
+    for depth_at_call, t, modulus in calls:
+        if depth_at_call:
+            assert is_prime(modulus), modulus
+        else:
+            p, j = factorize(modulus).factors[0]
+            assert modulus == p**j and j >= 2, modulus
+            assert t == cold_links[p].value, modulus
+    assert any(not depth_at_call for depth_at_call, _, _ in calls)
     assert 216 in cold_links
 
 
 def test_certify_period_refuses_an_invalid_candidate(cold_links):
     # 4 is not a period mod 3 (pi(3) = 8), and nothing is cached
     with pytest.raises(FibTowerError, match="period candidate 4 invalid for modulus 3"):
-        modfib._certify_period(3, 1, {2: 2})
+        modfib._certify_period(3, {2: 2})
     assert 3 not in cold_links
 
 
 def test_prime_power_descent_matches_brute(cold_links):
     # among them 2^e, the even prime, and 5^e: 5 divides its own period 20,
-    # so the floor of 5^e already holds 5 and the descent stops above it
+    # so Wall's rule raises an exponent pi(5) already has
     prime_powers = [
         p**e
         for p in range(2, 142)
@@ -584,9 +589,9 @@ def test_prime_power_descent_matches_brute(cold_links):
     assert_certified(cold_links)
 
 
-def test_prime_power_descent_strips_only_p(cold_links, monkeypatch):
-    # pi(7) = 16 and pi(7^3) = 7^2 * 16: the candidate check and one failed
-    # strip of 7; 2 is never tried, since pi(7) divides pi(7^3)
+def test_prime_power_period_checks_only_p_squared(cold_links, monkeypatch):
+    # pi(7) = 16 and pi(7^3) = 7^2 * 16: pi(7) fails its one check mod 7^2,
+    # so t = 1, and no other power of 7 is checked
     m = 7**3
     moduli = []
     is_period = modfib._is_period
@@ -597,7 +602,48 @@ def test_prime_power_descent_strips_only_p(cold_links, monkeypatch):
 
     monkeypatch.setattr(modfib, "_is_period", spy_is_period)
     assert pi_of(m) == 7**2 * 16 == pisano_period_brute(m)
-    assert moduli.count(m) == 2
+    assert [q for q in moduli if not is_prime(q)] == [49]
+
+
+def test_prime_power_periods_are_certified_minimal():
+    # a certificate that uses no cache and no brute force: t is a period
+    # mod p^e, and t / q is not, for every prime q of t
+    for p in range(2, 3000):
+        if not is_prime(p):
+            continue
+        for e in range(2, 5):
+            m = p**e
+            t = pisano_period(FactoredNatural(m, ((p, e),)))
+            assert fib_pair_mod(t.value, m) == (0, 1), m
+            for q, _ in t.factors:
+                assert fib_pair_mod(t.value // q, m) != (0, 1), (m, q)
+
+
+def test_prime_power_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
+    # no prime is known with pi(p^2) = pi(p); pretend 7 is one, so t = 2
+    is_period = modfib._is_period
+    monkeypatch.setattr(
+        modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)
+    )
+    periods = [modfib._pisano_prime_power(7, e).value for e in (2, 3, 4)]
+    assert periods == [16, 7 * 16, 7**2 * 16]
+
+
+def test_tall_prime_power_chain_checks_only_small_moduli(cold_links, monkeypatch):
+    # pi(5^e) = 4 * 5^e and pi(4 * 5^e) = 12 * 5^e, from ladders mod 2, 4, 5
+    # and 25 alone
+    moduli = set()
+    is_period = modfib._is_period
+
+    def spy_is_period(t, modulus):
+        moduli.add(modulus)
+        return is_period(t, modulus)
+
+    monkeypatch.setattr(modfib, "_is_period", spy_is_period)
+    for e in (60, 100_002):
+        target = FactoredNatural(5**e, ((5, e),))
+        assert build_chain(2, target) == (12 * 5**e, 4 * 5**e, 5**e), e
+        assert max(moduli) <= 25, e
 
 
 def test_period_cache_under_concurrent_chains(cold_links):

@@ -1,5 +1,6 @@
 """Sweep reports (JSON/CSV) and the command-line interface."""
 
+import errno
 import hashlib
 import json
 import os
@@ -419,6 +420,31 @@ def test_cli_sweep_out_to_a_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(tmp_path) in err and "directory" in err
     assert tmp_path.is_dir()
+
+
+def test_cli_closed_stdout_exits_2_on_one_line(tmp_path, monkeypatch, capsys):
+    # as under `fibtower fibmod 30000 7 | true`: no traceback, and stdout's
+    # descriptor then points at os.devnull, so the interpreter's last flush
+    # stays silent
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["fibmod", "30000", "7"]) == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == "cannot write standard output: Broken pipe\n"
 
 
 def test_cli_sweep_stdout_and_usage(capsys):
