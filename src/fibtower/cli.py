@@ -25,6 +25,7 @@ from .report import (
     STATUS_OK,
     analysis_status,
     analysis_to_dict,
+    int_to_decimal,
     parse_range,
     render_csv,
     render_json,
@@ -105,13 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The commands print integers through Decimal, whose str is exempt from
-# sys.get_int_max_str_digits(), which by default refuses ints of more than
-# 4300 digits (F_n for n >= 20578, residues mod a 5000-digit modulus).
+# The commands print integers through int_to_decimal: Decimal's str is
+# exempt from sys.get_int_max_str_digits(), which by default refuses ints of
+# more than 4300 digits (F_n for n >= 20578, residues mod a 5000-digit
+# modulus), and int_to_decimal avoids Decimal(int)'s quadratic time.
 
 
 def _cmd_fib(args) -> int:
-    print(Decimal(fib(args.index, max_index=args.max_index)))
+    print(int_to_decimal(fib(args.index, max_index=args.max_index)))
     return EXIT_OK
 
 
@@ -119,7 +121,7 @@ def _cmd_fibmod(args) -> int:
     if args.modulus < 1:
         print("modulus must be positive", file=sys.stderr)
         return EXIT_USAGE
-    print(Decimal(fib_mod(args.index, args.modulus)))
+    print(int_to_decimal(fib_mod(args.index, args.modulus)))
     return EXIT_OK
 
 
@@ -133,17 +135,17 @@ def _cmd_pisano(args) -> int:
             raise CapExceeded(
                 f"brute period search refused for modulus >= {BRUTE_LIMIT}"
             )
-        print(Decimal(pisano_period_brute(m)))
+        print(int_to_decimal(pisano_period_brute(m)))
         return EXIT_OK
     if args.method == "factored":
-        print(Decimal(pisano_period(factorize(m)).value))
+        print(int_to_decimal(pisano_period(factorize(m)).value))
         return EXIT_OK
     # auto: factored, and cross-checked by brute force when cheap
     period = pisano_period(factorize(m)).value
     if m <= CROSSCHECK_LIMIT and period != pisano_period_brute(m):
         print(f"factored/brute disagreement for modulus {m}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(Decimal(period))
+    print(int_to_decimal(period))
     return EXIT_OK
 
 

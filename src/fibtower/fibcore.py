@@ -4,6 +4,15 @@ Everything here works on plain Python integers and serves as ground truth
 for the modular machinery. Convention: F_0 = 0, F_1 = F_2 = 1 (the zero
 term is the backward extension forced by the recurrence; residue formulas
 need F_{n-3} down to n = 3).
+
+Exact F_i comes from one ladder over the pair (F_k, L_k), L the Lucas
+numbers, by the identities (Lucas 1878)
+    F_2k = F_k L_k,             L_2k = L_k^2 - 2(-1)^k,
+    F_2k+1 = (F_2k + L_2k) / 2,  L_2k+1 = (5 F_2k + L_2k) / 2,
+so a bit of the index costs one product and one square; an odd bit adds
+only shifts and additions. fib(i) climbs to k = i >> 1 and ends with one
+product: F_2k = F_k L_k, or F_2k+1 = L_k F_k+1 - (-1)^k with
+F_k+1 = (F_k + L_k) / 2.
 """
 
 from __future__ import annotations
@@ -17,17 +26,30 @@ from .errors import BudgetExceeded
 DEFAULT_MAX_FIB_INDEX = 50_000_000
 
 
+def _lucas_pair(k: int) -> tuple[int, int]:
+    """(F_k, L_k) by doubling over the Lucas pair, no budget check."""
+    f, l, odd = 0, 2, False  # F_0, L_0, k odd
+    for bit in bin(k)[2:]:
+        f, l = f * l, l * l + (2 if odd else -2)
+        odd = bit == "1"
+        if odd:
+            f, l = (f + l) >> 1, (5 * f + l) >> 1
+    return f, l
+
+
+def _fib(i: int) -> int:
+    """F_i with one product above the ladder to k = i >> 1, no budget check."""
+    k = i >> 1
+    f, l = _lucas_pair(k)
+    if not i & 1:
+        return f * l
+    return l * ((f + l) >> 1) - (-1 if k & 1 else 1)
+
+
 def _fib_pair(i: int) -> tuple[int, int]:
-    """(F_i, F_{i+1}) by fast doubling, no budget check."""
-    a, b = 0, 1
-    for bit in bin(i)[2:] if i else "":
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if bit == "1":
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a, b
+    """(F_i, F_{i+1}) from the ladder to i, as F_{i+1} = (F_i + L_i) / 2."""
+    f, l = _lucas_pair(i)
+    return f, (f + l) >> 1
 
 
 def _check_budget(i: int, max_index: int | None = None) -> None:
@@ -41,7 +63,7 @@ def fib(i: int, *, max_index: int | None = None) -> int:
     if i < 0:
         raise ValueError("index must be nonnegative")
     _check_budget(i, max_index)
-    return _fib_pair(i)[0]
+    return _fib(i)
 
 
 def fib_iterative(i: int) -> int:
@@ -65,7 +87,7 @@ def fib_exceeds(i: int, bound: int) -> bool:
         return True
     if i >= 2 and (i - 2) // 2 >= bound.bit_length():
         return True
-    return _fib_pair(i)[0] > bound
+    return _fib(i) > bound
 
 
 def valuation(base: int, x: int) -> int:

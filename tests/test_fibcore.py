@@ -16,7 +16,8 @@ from fibtower import (
     square_congruence_check,
     valuation,
 )
-from fibtower.fibcore import fib_exceeds
+from fibtower.fibcore import _fib_pair, fib_exceeds
+from fibtower.modfib import fib_pair_mod
 
 # naive recurrence, kept in the test as the independent route
 FIBS = [0, 1]
@@ -37,6 +38,28 @@ def test_fib_matches_naive_iteration_everywhere():
     assert fib_iterative(4000) == FIBS[4000]
 
 
+def test_fib_near_a_million_agrees_with_the_modular_ladder():
+    # i = 10^6 + r takes both parities of i and of k = i >> 1, so the top
+    # step's two branches and its sign (-1)^k all occur
+    for r in range(8):
+        i = 10**6 + r
+        value = fib(i)
+        for m in (2**61 - 1, 10**9 + 7, FIBS[300]):
+            assert value % m == fib_pair_mod(i, m)[0], (i, m)
+
+
+def test_fib_matches_recurrence_past_the_naive_table():
+    for i in range(19_999, 20_003):
+        assert fib(i) == fib_iterative(i), i
+
+
+def test_fib_pair_satisfies_cassini_exactly():
+    for r in range(4):
+        i = 10**5 + r
+        a, b = _fib_pair(i)  # (F_i, F_{i+1}), and F_{i-1} = F_{i+1} - F_i
+        assert b * (b - a) - a * a == (-1) ** i, i
+
+
 def test_fib_budget():
     with pytest.raises(BudgetExceeded):
         fib(50_000_001)
@@ -50,6 +73,8 @@ def test_fib_budget():
 def test_fib_exceeds():
     assert fib_exceeds(30, 832_039)
     assert not fib_exceeds(30, 832_040)  # F_30 == 832040 exactly
+    assert fib_exceeds(31, 1_346_268)
+    assert not fib_exceeds(31, 1_346_269)  # F_31, an odd top step
     assert fib_exceeds(91, 10**6)
     assert fib_exceeds(10**6, 2**1000)  # shortcut path, no materialization
     assert not fib_exceeds(0, 0)

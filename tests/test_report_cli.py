@@ -130,6 +130,16 @@ def test_reports_beyond_int_str_digit_limit():
     assert render_csv(report).split("\n")[1].startswith(f"90,2,300,{fn_text},301,")
 
 
+def test_int_to_decimal_matches_decimal():
+    bits = report._DEC_SPLIT_BITS
+    digits = len(str(Decimal(2**bits)))  # 10^(digits-1) < 2^bits < 10^digits
+    values = [0, fib(10**6)]
+    values += [10**k + d for k in (digits - 1, digits, 3 * digits) for d in (-1, 0)]
+    values += [2**k + d for k in (bits - 1, bits, bits + 1, 5 * bits) for d in (-1, 1)]
+    for value in values:
+        assert str(report.int_to_decimal(value)) == str(Decimal(value)), value.bit_length()
+
+
 # F_500 is refused by factoring (rho exhausts its budget on a 33-digit
 # cofactor of its primitive part), so analyze answers it by route 3; at
 # m = 200 route 3 is over its own budget too.
@@ -270,6 +280,12 @@ def test_cli_fib_beyond_int_str_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
     assert len(expected) == 6270
     assert out == expected + "\n"
+
+
+def test_cli_fib_prints_as_decimal_does(capsys):
+    # F_100000 has 69 424 bits, so the CLI prints it by int_to_decimal's split
+    assert main(["fib", "100000"]) == 0
+    assert capsys.readouterr().out == str(Decimal(fib(100_000))) + "\n"
 
 
 def test_cli_fib_budget_exit(capsys):
