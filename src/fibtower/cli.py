@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +24,7 @@ from .report import (
     STATUS_OK,
     analysis_status,
     analysis_to_dict,
+    decimal_to_int,
     int_to_decimal,
     parse_range,
     render_csv,
@@ -48,13 +48,13 @@ def _nonnegative(text: str) -> int:
     """argparse type for integer arguments that may be 0.
 
     Accepts what int() accepts, and decimal digit strings of any length:
-    int() refuses more than 4300 digits, Decimal does not.
+    int() refuses more than 4300 digits, decimal_to_int does not.
     """
     try:
         value = int(text)
     except ValueError:
         digits = text.strip()
-        value = int(Decimal(digits)) if digits.isascii() and digits.isdigit() else -1
+        value = decimal_to_int(digits) if digits.isascii() and digits.isdigit() else -1
     if value >= 0:
         return value
     shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"

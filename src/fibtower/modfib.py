@@ -27,7 +27,10 @@ its prime-power parts must be pairwise coprime (their lcm is the modulus,
 checked on the values, not taken from is_prime), and by the CRT the lcm
 of their cached periods is then the minimal period of the modulus, with
 no ladder on the full modulus and no second check on a part.
-pisano_period does not cache composite moduli.
+pisano_period does not cache composite moduli. Each prime was tested once,
+where it entered: in factorize, or as the prime whose period pisano_prime
+certifies. The cache entries and pisano_period's results are built from
+those primes without testing them again (FactoredNatural._trusted_map).
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -194,10 +197,20 @@ class FactoredNatural:
     """A positive integer together with its complete prime factorization.
 
     The public constructor and from_factor_map validate the factors, each
-    prime by is_prime. The private _trusted skips that and serves only
-    results whose every prime was validated before: power() of a
-    validated object, and factorize_fib, whose primes passed is_prime (or
-    trial division) inside _factor_into.
+    prime by is_prime; factorize builds through from_factor_map. The
+    private _trusted and _trusted_map skip that and serve only results
+    whose every prime was validated before:
+    - power() of a validated object;
+    - factorize_fib, whose primes passed is_prime (or trial division)
+      inside _factor_into;
+    - _certify_period, whose primes are those of its candidate, a
+      factorize result (of the bound, or of 4d in factorize_fib);
+    - _pisano_prime_power, whose primes are those of the certified
+      period(p) and p itself, a prime of a validated modulus that
+      pisano_prime tests on a miss;
+    - pisano_period, which merges the factors of cache entries alone.
+    Each keeps the invariants __post_init__ checks: primes strictly
+    increasing, exponents positive, and their product the value.
     """
 
     value: int
@@ -222,11 +235,7 @@ class FactoredNatural:
 
     @classmethod
     def from_factor_map(cls, factors: dict[int, int]) -> "FactoredNatural":
-        items = tuple(sorted((p, e) for p, e in factors.items() if e))
-        value = 1
-        for p, e in items:
-            value *= p**e
-        return cls(value, items)
+        return cls(*_value_and_items(factors))
 
     @classmethod
     def _trusted(
@@ -237,6 +246,12 @@ class FactoredNatural:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "factors", factors)
         return self
+
+    @classmethod
+    def _trusted_map(cls, factors: dict[int, int]) -> "FactoredNatural":
+        """from_factor_map without validation; every prime must be
+        validated already."""
+        return cls._trusted(*_value_and_items(factors))
 
     def factor_map(self) -> dict[int, int]:
         return dict(self.factors)
@@ -249,6 +264,18 @@ class FactoredNatural:
         return FactoredNatural._trusted(
             self.value**e, tuple((p, f * e) for p, f in self.factors)
         )
+
+
+def _value_and_items(
+    factors: dict[int, int],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The product of a prime -> exponent map and its items, primes
+    increasing and zero exponents dropped."""
+    items = tuple(sorted((p, e) for p, e in factors.items() if e))
+    value = 1
+    for p, e in items:
+        value *= p**e
+    return value, items
 
 
 def factorize(
@@ -364,6 +391,9 @@ def _is_period(t: int, m: int) -> bool:
 # the modulus. A prime power's entry is a period for any integer p: with A
 # the Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
 # A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
+# Entries are built by FactoredNatural._trusted_map: their primes are those
+# of a factorize result, of another entry, or p itself, each tested where
+# it entered, so building an entry tests no prime again.
 _period_cache: dict[int, FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
 
@@ -390,7 +420,8 @@ def _certify_period(p: int, candidate: dict[int, int]) -> FactoredNatural:
         while fac[q] and _is_period(cur // q, p):
             cur //= q
             fac[q] -= 1
-    result = FactoredNatural.from_factor_map(fac)
+    # the candidate's primes were tested in factorize
+    result = FactoredNatural._trusted_map(fac)
     with _period_cache_lock:
         return _period_cache.setdefault(p, result)
 
@@ -430,7 +461,8 @@ def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
         t += 1
     fac = base.factor_map()
     fac[p] = fac.get(p, 0) + e - t
-    result = FactoredNatural.from_factor_map(fac)
+    # base's primes were tested when base was built, and p by pisano_prime
+    result = FactoredNatural._trusted_map(fac)
     with _period_cache_lock:
         return _period_cache.setdefault(m, result)
 
@@ -447,7 +479,7 @@ def pisano_period(m: FactoredNatural) -> FactoredNatural:
     for p, e in m.factors:
         for q, f in _pisano_prime_power(p, e).factors:
             merged[q] = max(merged.get(q, 0), f)
-    return FactoredNatural.from_factor_map(merged)
+    return FactoredNatural._trusted_map(merged)
 
 
 def pisano_period_brute(m: int, cap: int | None = None) -> int:

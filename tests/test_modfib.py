@@ -311,13 +311,21 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
     cold_fib_factors, monkeypatch
 ):
     # their primes were validated where they came from; is_prime runs only
-    # inside factoring (the period of every prime of F_120 is warm here)
+    # inside factoring (the period of every prime of F_120 is warm here).
+    # Warm periods and chains are merged from certified cache entries, with
+    # no is_prime call at all
     fn = factorize_fib(120)
+    target = fn.power(3)
+    moduli = [factorize(m) for m in (1, 97, 720, 10**6, 2**16 * 3**5, 7**4 * 11**3)]
+    periods = [pisano_period(m) for m in moduli]
+    chain = build_chain(4, target)
+    levels = modfib.chain_levels(4, target)
     cold_fib_factors.clear()
-    factoring, outside = [0], []
+    factoring, outside, calls = [0], [], []
     real_is_prime, factor_into = modfib.is_prime, modfib._factor_into
 
     def spy_is_prime(p):
+        calls.append(p)
         if not factoring[0]:
             outside.append(p)
         return real_is_prime(p)
@@ -334,7 +342,11 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
         patched.setattr(modfib, "_factor_into", spy_factor_into)
         cold = factorize_fib(120)
         powers = {e: fn.power(e) for e in (0, 1, 5)}
-    assert outside == []
+        calls.clear()
+        warm = [pisano_period(m) for m in moduli]
+        warm_chain = build_chain(4, target), modfib.chain_levels(4, target)
+    assert outside == [] and calls == []
+    assert warm == periods and warm_chain == (chain, levels)
     assert cold == fn == factorize(fib(120))
     for e, power in powers.items():
         expected = FactoredNatural.from_factor_map({p: f * e for p, f in fn.factors})
@@ -378,8 +390,12 @@ def test_pisano_brute_examples():
 
 
 def test_factored_equals_brute_small():
+    # pisano_period builds its result without validation; the public
+    # constructor refuses unsorted primes, a zero exponent or a wrong value
     for m in range(1, 3001):
-        assert pi_of(m) == pisano_period_brute(m), m
+        period = pisano_period(factorize(m))
+        assert FactoredNatural(period.value, period.factors) == period, m
+        assert period.value == pisano_period_brute(m), m
 
 
 def test_period_property_defines_reduction():

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import random
 import sys
 from decimal import Decimal
 
@@ -138,6 +139,19 @@ def test_int_to_decimal_matches_decimal():
     values += [2**k + d for k in (bits - 1, bits, bits + 1, 5 * bits) for d in (-1, 1)]
     for value in values:
         assert str(report.int_to_decimal(value)) == str(Decimal(value)), value.bit_length()
+
+
+def test_decimal_to_int_matches_decimal():
+    rng = random.Random(18)
+    piece = report._INT_PARSE_DIGITS
+    lengths = [1, piece - 1, piece, piece + 1, 2 * piece, 2 * piece + 1, 5 * piece + 3]
+    for length in lengths + [300_000]:
+        text = "".join(rng.choice("0123456789") for _ in range(length))
+        assert report.decimal_to_int(text) == int(Decimal(text)), length
+    for text in ("0" * (2 * piece + 1), "0" * piece + "7" * (piece + 2)):
+        assert report.decimal_to_int(text) == int(Decimal(text)), len(text)
+    value = fib(10**6)
+    assert report.decimal_to_int(str(report.int_to_decimal(value))) == value
 
 
 # F_500 is refused by factoring (rho exhausts its budget on a 33-digit
