@@ -113,7 +113,7 @@ def gcd_identity_check(a: int, b: int) -> bool:
     return gcd(fib(a), fib(b)) == fib(gcd(a, b))
 
 
-def fib_multiple_expansion(n: int, r: int, *, max_index: int | None = None) -> int:
+def fib_multiple_expansion(n: int, r: int) -> int:
     """The binomial sum that expands F_{n*r} in powers of F_n.
 
     Returns sum_{j=1}^{r} C(r,j) * F_n^j * F_{n-1}^{r-j} * F_j exactly;
@@ -121,7 +121,7 @@ def fib_multiple_expansion(n: int, r: int, *, max_index: int | None = None) -> i
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
-    _check_budget(n * r, max_index)
+    _check_budget(n * r)
     fn = fib(n)
     fn1 = fib(n - 1)  # 0 when n == 1; the j = r term then carries 0^0 = 1
     total = 0

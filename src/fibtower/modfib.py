@@ -64,9 +64,10 @@ from math import gcd, isqrt, lcm
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
 
+# rho's budget and the seed of its cycle parameters, set here alone:
+# _factor_into and _brent_rho read both when they run. The seed is fixed so
+# runs are reproducible, and recorded in sweep reports.
 DEFAULT_FACTOR_BUDGET = 2_000_000
-# Seed for the rho cycle parameters; fixed so runs are reproducible, and
-# recorded in sweep reports.
 DEFAULT_FACTOR_SEED = 2_971_215_073
 
 _TRIAL_LIMIT = 100_000
@@ -132,26 +133,27 @@ def _digits(n: int) -> int:
     return Decimal(n).adjusted() + 1
 
 
-def _budget_exhausted(budget: int, n: int) -> FactorBudgetExceeded:
+def _budget_exhausted(n: int) -> FactorBudgetExceeded:
     return FactorBudgetExceeded(
-        f"rho budget {budget} exhausted on a {_digits(n)}-digit cofactor"
+        f"rho budget {DEFAULT_FACTOR_BUDGET} exhausted on a {_digits(n)}-digit cofactor"
     )
 
 
-def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
+def _brent_rho(n: int, used: int) -> tuple[int, int]:
     """One nontrivial factor of odd composite n via Brent's cycle method.
 
     used counts the budget units already spent by the same factorization.
     One iteration costs 1 unit below 512 bits and grows with the square of
     the size of n above that, as a multiplication mod n does. Returns
     (factor, used) with this call's units added; raises
-    FactorBudgetExceeded once used passes budget. Deterministic for a
-    fixed seed, and the same whatever used it starts from: used decides
+    FactorBudgetExceeded once used passes DEFAULT_FACTOR_BUDGET. The cycle
+    parameters come from DEFAULT_FACTOR_SEED, so the result is
+    deterministic, and the same whatever used it starts from: used decides
     only whether it raises.
     """
     cost = max(1, n.bit_length() ** 2 >> 18)
     for attempt in range(64):
-        rng = random.Random(f"rho:{seed}:{Decimal(n)}:{attempt}")
+        rng = random.Random(f"rho:{DEFAULT_FACTOR_SEED}:{Decimal(n)}:{attempt}")
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -174,8 +176,8 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
                 k += m
             used += min(r, k) * cost
             r *= 2
-            if used > budget:
-                raise _budget_exhausted(budget, n)
+            if used > DEFAULT_FACTOR_BUDGET:
+                raise _budget_exhausted(n)
         if g == n:
             # backtrack one step at a time to split the batched gcd
             g = 1
@@ -183,8 +185,8 @@ def _brent_rho(n: int, seed: int, budget: int, used: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
                 used += cost
-                if used > budget:
-                    raise _budget_exhausted(budget, n)
+                if used > DEFAULT_FACTOR_BUDGET:
+                    raise _budget_exhausted(n)
         if g != n:
             return g, used
     raise FactorBudgetExceeded(
@@ -198,19 +200,11 @@ class FactoredNatural:
 
     The public constructor and from_factor_map validate the factors, each
     prime by is_prime; factorize builds through from_factor_map. The
-    private _trusted and _trusted_map skip that and serve only results
-    whose every prime was validated before:
-    - power() of a validated object;
-    - factorize_fib, whose primes passed is_prime (or trial division)
-      inside _factor_into;
-    - _certify_period, whose primes are those of its candidate, a
-      factorize result (of the bound, or of 4d in factorize_fib);
-    - _pisano_prime_power, whose primes are those of the certified
-      period(p) and p itself, a prime of a validated modulus that
-      pisano_prime tests on a miss;
-    - pisano_period, which merges the factors of cache entries alone.
-    Each keeps the invariants __post_init__ checks: primes strictly
-    increasing, exponents positive, and their product the value.
+    private _trusted_map skips that, and serves only a map whose every
+    prime was tested where it entered: in _factor_into, in a validated
+    object or cache entry, or as the prime pisano_prime tests. It keeps
+    the invariants __post_init__ checks: primes strictly increasing,
+    exponents positive, and their product the value.
     """
 
     value: int
@@ -238,20 +232,14 @@ class FactoredNatural:
         return cls(*_value_and_items(factors))
 
     @classmethod
-    def _trusted(
-        cls, value: int, factors: tuple[tuple[int, int], ...]
-    ) -> "FactoredNatural":
-        """Construct without validation; every prime must be validated already."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
-        return self
-
-    @classmethod
     def _trusted_map(cls, factors: dict[int, int]) -> "FactoredNatural":
         """from_factor_map without validation; every prime must be
         validated already."""
-        return cls._trusted(*_value_and_items(factors))
+        self = object.__new__(cls)
+        value, items = _value_and_items(factors)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", items)
+        return self
 
     def factor_map(self) -> dict[int, int]:
         return dict(self.factors)
@@ -259,11 +247,7 @@ class FactoredNatural:
     def power(self, e: int) -> "FactoredNatural":
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        if e == 0:
-            return FactoredNatural._trusted(1, ())
-        return FactoredNatural._trusted(
-            self.value**e, tuple((p, f * e) for p, f in self.factors)
-        )
+        return FactoredNatural._trusted_map({p: f * e for p, f in self.factors})
 
 
 def _value_and_items(
@@ -278,17 +262,13 @@ def _value_and_items(
     return value, items
 
 
-def factorize(
-    x: int,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    seed: int = DEFAULT_FACTOR_SEED,
-) -> FactoredNatural:
+def factorize(x: int) -> FactoredNatural:
     """Complete factorization: trial division, then Brent rho on what remains.
 
-    Deterministic for a fixed seed. budget caps the rho work spent on all
-    cofactors together, in iterations weighted by cofactor size (see
-    _brent_rho), plus the primality tests of cofactors above 512 bits (see
+    Deterministic: rho's parameters come from DEFAULT_FACTOR_SEED.
+    DEFAULT_FACTOR_BUDGET caps the rho work spent on all cofactors
+    together, in iterations weighted by cofactor size (see _brent_rho),
+    plus the primality tests of cofactors above 512 bits (see
     _primality_cost); FactorBudgetExceeded names it and the cofactor that
     exhausted it, which signals that the requested parameters are beyond
     desk scale.
@@ -296,7 +276,7 @@ def factorize(
     if x < 1:
         raise ValueError("x must be positive")
     found: dict[int, int] = {}
-    _factor_into(found, x, budget, seed, 0)
+    _factor_into(found, x, 0)
     return FactoredNatural.from_factor_map(found)
 
 
@@ -309,14 +289,13 @@ def _primality_cost(v: int) -> int:
     return bits * (bits * bits >> 18) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
 
 
-def _factor_into(
-    found: dict[int, int], x: int, budget: int, seed: int, used: int
-) -> int:
+def _factor_into(found: dict[int, int], x: int, used: int) -> int:
     """Add the prime factorization of x >= 1 to found; returns used plus
     the units spent. Trial division, then is_prime and Brent rho on what
-    remains. A primality test of a cofactor above 512 bits is charged
-    (see _primality_cost), and refused before it runs when the charge
-    would pass budget."""
+    remains, under DEFAULT_FACTOR_BUDGET as it stands when this runs. A
+    primality test of a cofactor above 512 bits is charged (see
+    _primality_cost), and refused before it runs when the charge would
+    pass the budget."""
     for p in _trial_primes():
         if p * p > x:
             break
@@ -327,15 +306,15 @@ def _factor_into(
     while stack:
         v = stack.pop()
         used += _primality_cost(v)
-        if used > budget:
+        if used > DEFAULT_FACTOR_BUDGET:
             raise FactorBudgetExceeded(
-                f"rho budget {budget} cannot pay for a primality test "
+                f"rho budget {DEFAULT_FACTOR_BUDGET} cannot pay for a primality test "
                 f"on a {_digits(v)}-digit cofactor"
             )
         if is_prime(v):
             found[v] = found.get(v, 0) + 1
             continue
-        d, used = _brent_rho(v, seed, budget, used)
+        d, used = _brent_rho(v, used)
         stack.append(d)
         stack.append(v // d)
     return used
@@ -549,9 +528,7 @@ def factorize_fib(n: int) -> FactoredNatural:
                 part //= p
         found: dict[int, int] = {}
         try:
-            used = _factor_into(
-                found, part, DEFAULT_FACTOR_BUDGET, DEFAULT_FACTOR_SEED, used
-            )
+            used = _factor_into(found, part, used)
         except FactorBudgetExceeded as exc:
             with _fib_factor_cache_lock:
                 refusal = _fib_refusals.setdefault(n, f"{exc} of F_{d}")
@@ -562,7 +539,7 @@ def factorize_fib(n: int) -> FactoredNatural:
             for p in fresh:
                 _certify_period(p, candidate)
         primes.extend(found)
-    value = fn = fib(n)
+    fn = fib(n)
     exponents: dict[int, int] = {}
     for p in primes:
         e = 0
@@ -574,7 +551,7 @@ def factorize_fib(n: int) -> FactoredNatural:
         raise FibTowerError(f"primitive parts of F_{n} leave a cofactor")
     # every prime passed is_prime or trial division in _factor_into, and
     # each divides F_n, so every exponent is positive
-    result = FactoredNatural._trusted(value, tuple(sorted(exponents.items())))
+    result = FactoredNatural._trusted_map(exponents)
     with _fib_factor_cache_lock:
         return _fib_factor_cache.setdefault(n, result)
 

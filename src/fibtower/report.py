@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from itertools import product
 
-from . import __version__
+from . import __version__, modfib
 from .errors import BudgetExceeded
-from .modfib import DEFAULT_FACTOR_SEED
 from .tower import AnalysisReport, CaseTag, TowerSpec, analyze, branch_label
 
 STATUS_OK = "ok"
@@ -131,7 +130,7 @@ def run_sweep(
         rows = tuple(_evaluate_point(p) for p in points)
     return SweepReport(
         tool_version=__version__,
-        seed=DEFAULT_FACTOR_SEED,
+        seed=modfib.DEFAULT_FACTOR_SEED,
         k_range=k_range,
         n_range=n_range,
         m_range=m_range,

@@ -51,34 +51,29 @@ class CaseTag(Enum):
     OUT_OF_RANGE = "OUT_OF_RANGE"
 
 
-def classify(spec: TowerSpec) -> CaseTag:
-    """Case tag for a spec; OUT_OF_RANGE below k = 2 or n = 3."""
+def branch_label(spec: TowerSpec) -> str | None:
+    """Sub-branch of the piecewise formula (one per condition disjunct);
+    None below k = 2 or n = 3."""
     k, n, m = spec.k, spec.n, spec.m
     if k < 2 or n < 3:
-        return CaseTag.OUT_OF_RANGE
+        return None
     k_even = k % 2 == 0
     if n % 3:
         if k_even:
-            return CaseTag.UNIT_ONE
-        return CaseTag.UNIT_ONE if n % 4 else CaseTag.F_NMINUS1
-    if (not k_even and m >= 2) or (k_even and m == 1):
-        return CaseTag.HALF_POW
-    return CaseTag.SIGNED_HALF_POW
+            return "UNIT_ONE/k_even"
+        return "UNIT_ONE/k_odd_4ndivn" if n % 4 else "F_NMINUS1/k_odd_4divn"
+    if k_even:
+        return "HALF_POW/k_even_m1" if m == 1 else "SIGNED_HALF_POW/k_even_m_ge2"
+    return "HALF_POW/k_odd_m_ge2" if m >= 2 else "SIGNED_HALF_POW/k_odd_m1"
 
 
-def branch_label(spec: TowerSpec) -> str | None:
-    """Sub-branch of the piecewise formula (one per condition disjunct)."""
-    tag = classify(spec)
-    if tag is CaseTag.OUT_OF_RANGE:
-        return None
-    k_even = spec.k % 2 == 0
-    if tag is CaseTag.UNIT_ONE:
-        return "UNIT_ONE/k_even" if k_even else "UNIT_ONE/k_odd_4ndivn"
-    if tag is CaseTag.F_NMINUS1:
-        return "F_NMINUS1/k_odd_4divn"
-    if tag is CaseTag.HALF_POW:
-        return "HALF_POW/k_odd_m_ge2" if not k_even else "HALF_POW/k_even_m1"
-    return "SIGNED_HALF_POW/k_even_m_ge2" if k_even else "SIGNED_HALF_POW/k_odd_m1"
+def classify(spec: TowerSpec) -> CaseTag:
+    """Case tag for a spec, the prefix of its branch label; OUT_OF_RANGE
+    below k = 2 or n = 3."""
+    label = branch_label(spec)
+    if label is None:
+        return CaseTag.OUT_OF_RANGE
+    return CaseTag(label.partition("/")[0])
 
 
 BRANCH_LABELS = (

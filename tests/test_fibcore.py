@@ -189,4 +189,4 @@ def test_checker_preconditions():
     with pytest.raises(ValueError):
         index_divisibility_check(2, 5)
     with pytest.raises(BudgetExceeded):
-        fib_multiple_expansion(7, 11, max_index=76)
+        fib_multiple_expansion(7_142_858, 7)

@@ -112,42 +112,60 @@ def test_factorize_roundtrip_random():
         assert rebuilt == value
 
 
-def test_factorize_deterministic_and_seed_independent():
+def test_factorize_deterministic_and_seed_independent(monkeypatch):
     n = (2**61 - 1) * 2_147_483_647 * 97
     assert factorize(n) == factorize(n)
-    assert factorize(n, seed=1) == factorize(n, seed=2)
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_SEED", 1)
+    one = factorize(n)
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_SEED", 2)
+    assert factorize(n) == one
 
 
-def test_factor_budget_exceeded():
+def test_factor_budget_exceeded(monkeypatch):
     p = 2**62 - 57  # prime
     q = 2**62 - 87  # prime
     assert is_prime(p) and is_prime(q)
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 50)
     with pytest.raises(
         FactorBudgetExceeded, match="budget 50 exhausted on a 38-digit cofactor"
     ):
-        factorize(p * q, budget=50)
+        factorize(p * q)
 
 
-def test_brent_rho_factor_and_units_are_pinned():
+def test_every_factorization_reads_the_module_budget(cold_links, monkeypatch):
+    # rho splits 100103 * 100109 in 547 units; with the budget at 50, the
+    # direct call, a prime's period bound (20081202418 = 2 * 100003 *
+    # 100403) and a chain modulus are all refused
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 50)
+    with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
+        factorize(100_103 * 100_109)
+    with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
+        pisano_prime(20_081_202_419)
+    with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
+        tower_residue(TowerSpec(2, 5, 1), 100_103 * 100_109)
+    assert not cold_links
+
+
+def test_brent_rho_factor_and_units_are_pinned(monkeypatch):
     # the product of |x - y| and the one of x - y differ only in sign mod n,
     # so every factor, unit count and refusal stays as these pins record
-    seed = modfib.DEFAULT_FACTOR_SEED
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 10**9)
     n = 4_294_967_291 * 4_294_967_279
-    assert modfib._brent_rho(n, seed, 10**9, 0) == (4_294_967_279, 98_558)
-    assert modfib._brent_rho(n, 7, 10**9, 0) == (4_294_967_279, 225_022)
-    assert modfib._brent_rho(1_000_003 * 1_000_033, seed, 10**9, 1000) == (
-        1_000_003,
-        2022,
-    )
+    assert modfib._brent_rho(n, 0) == (4_294_967_279, 98_558)
+    assert modfib._brent_rho(1_000_003 * 1_000_033, 1000) == (1_000_003, 2022)
     # the batched gcd reaches n here, so the factor comes from the backtrack
-    assert modfib._brent_rho(100_103 * 100_109, seed, 10**9, 0) == (100_103, 547)
+    assert modfib._brent_rho(100_103 * 100_109, 0) == (100_103, 547)
+    with monkeypatch.context() as patch:
+        patch.setattr(modfib, "DEFAULT_FACTOR_SEED", 7)
+        assert modfib._brent_rho(n, 0) == (4_294_967_279, 225_022)
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 100)
     with pytest.raises(
         FactorBudgetExceeded, match=r"^rho budget 100 exhausted on a 20-digit cofactor$"
     ):
-        modfib._brent_rho(n, seed, 100, 0)
+        modfib._brent_rho(n, 0)
 
 
-def test_primality_and_rho_beyond_int_str_digit_limit():
+def test_primality_and_rho_beyond_int_str_digit_limit(monkeypatch):
     # both derive their random parameters from n itself; str(n) refuses ints
     # longer than the interpreter's limit (4300 digits by default, 640 at least)
     limit = sys.get_int_max_str_digits()
@@ -157,11 +175,13 @@ def test_primality_and_rho_beyond_int_str_digit_limit():
         # 100003 is past trial division; the budget pays for the primality
         # test of the 701-digit cofactor and for one rho iteration on it
         x = 100_003**140
-        budget = modfib._primality_cost(x) + 10
+        monkeypatch.setattr(
+            modfib, "DEFAULT_FACTOR_BUDGET", modfib._primality_cost(x) + 10
+        )
         with pytest.raises(
             FactorBudgetExceeded, match="exhausted on a 701-digit cofactor"
         ):
-            factorize(x, budget=budget)
+            factorize(x)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -7,6 +7,7 @@ import contextlib
 import io
 from math import gcd, prod
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from fibtower import (
     oracle_feasible,
     tower_residue,
 )
+from fibtower import modfib
 from fibtower.cli import main
 
 # Small enough that every feasible oracle value stays cheap to materialize.
@@ -163,10 +165,13 @@ def test_fib_pair_mod_addition_law(i, j, m):
 @given(parts=st.lists(st.integers(1, 10**9), min_size=1, max_size=4))
 def test_factorize_round_trip(parts):
     x = prod(parts)
-    fac = factorize(x, seed=1)
-    assert fac.value == x == prod(p**e for p, e in fac.factors)
-    assert all(is_prime(p) for p, _ in fac.factors)
-    assert factorize(x, seed=2) == fac
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfib, "DEFAULT_FACTOR_SEED", 1)
+        fac = factorize(x)
+        assert fac.value == x == prod(p**e for p, e in fac.factors)
+        assert all(is_prime(p) for p, _ in fac.factors)
+        patch.setattr(modfib, "DEFAULT_FACTOR_SEED", 2)
+        assert factorize(x) == fac
 
 
 # Argument text: small integers of either sign, empty and non-numeric
