@@ -11,26 +11,27 @@ runs mod 5m so that F = (2 L_{k+1} - L_k) / 5 and its neighbour come out
 by exact division for every m.
 
 Certified periods live in one per-process cache (modulus value -> period)
-under one lock. Every entry is proved the minimal period of its modulus.
-A prime's period is checked in one place, _certify_period, by divisor
-descent from a candidate: period(p) divides p - 1 or 2(p + 1) according
-to p mod 5. A prime of F_n gets a smaller candidate from factorize_fib:
-F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so period(F_n), and with it
-period(p), divides 4n (Carmichael 1913; Wall 1960), and it is descended
-from the 4d of the first F_d that p divides, never from p - 1 or
-2(p + 1). A prime power p^e takes Wall's rule (_pisano_prime_power), with
-no ladder mod p^e above p^(t+1), and nothing rests on the open question
-whether period(p^2) != period(p) for every prime: a Wall-Sun-Sun prime
-would only give t >= 2. Any other modulus enters only as a chain modulus,
-in the one chain walk (_walk) that build_chain and chain_levels share:
-its prime-power parts must be pairwise coprime (their lcm is the modulus,
+under one lock. Every entry is proved the minimal period of its modulus,
+and the cache has two writers. _prime_power_period writes every
+prime-power entry. A prime's period is found there by divisor descent from
+a candidate: period(p) divides p - 1 or 2(p + 1) according to p mod 5. A
+prime of F_n gets a smaller candidate from factorize_fib: F_{4n} == 0 and
+F_{4n+1} == 1 (mod F_n), so period(F_n), and with it period(p), divides 4n
+(Carmichael 1913; Wall 1960), and it is descended from the 4d of the first
+F_d that p divides, never from p - 1 or 2(p + 1). A prime power p^e takes
+Wall's rule from its prime's entry, with no ladder mod p^e above p^(t+1),
+and nothing rests on the open question whether period(p^2) != period(p)
+for every prime: a Wall-Sun-Sun prime would only give t >= 2. Any other
+modulus enters only as a chain modulus, in the one chain walk (_walk)
+that build_chain and chain_levels share, the second writer: its
+prime-power parts must be pairwise coprime (their lcm is the modulus,
 checked on the values, not taken from is_prime), and by the CRT the lcm
 of their cached periods is then the minimal period of the modulus, with
 no ladder on the full modulus and no second check on a part.
-pisano_period does not cache composite moduli. Each prime was tested once,
-where it entered: in factorize, or as the prime whose period pisano_prime
-certifies. The cache entries and pisano_period's results are built from
-those primes without testing them again (FactoredNatural._trusted_map).
+pisano_period does not cache composite moduli. Each prime was tested
+once, where it entered: in factorize or in a validated object. The cache
+entries and pisano_period's results are built from those primes without
+testing them again (FactoredNatural._trusted_map).
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -201,8 +202,10 @@ class FactoredNatural:
     The public constructor and from_factor_map validate the factors, each
     prime by is_prime; factorize builds through from_factor_map. The
     private _trusted_map skips that, and serves only a map whose every
-    prime was tested where it entered: in _factor_into, in a validated
-    object or cache entry, or as the prime pisano_prime tests. It keeps
+    prime was tested where it entered: in _factor_into, or in a validated
+    object or cache entry. Every period cache entry is built through it,
+    by the cache's two writers: _prime_power_period for a prime power, and
+    _walk, from pisano_period, for a composite chain modulus. It keeps
     the invariants __post_init__ checks: primes strictly increasing,
     exponents positive, and their product the value.
     """
@@ -362,13 +365,13 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-# modulus -> its certified minimal period, under one lock. A prime's entry
-# is written only by _certify_period, after its period check; a prime
-# power's only by Wall's rule in _pisano_prime_power, from the certified
-# period(p) and the checks mod p^2 ... p^(t+1); any other entry only by the
-# chain walk (_walk), as the lcm of such entries over parts whose lcm is
-# the modulus. A prime power's entry is a period for any integer p: with A
-# the Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
+# modulus -> its certified minimal period, under one lock. Two writers: a
+# prime power's entry is written only by _prime_power_period, a prime's
+# after its descent and p^e's by Wall's rule from the prime's entry and
+# the checks mod p^2 ... p^(t+1); any other entry only by the chain walk
+# (_walk), as the lcm of such entries over parts whose lcm is the modulus.
+# A prime power's entry is a period for any integer p: with A the
+# Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
 # A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
 # Entries are built by FactoredNatural._trusted_map: their primes are those
 # of a factorize result, of another entry, or p itself, each tested where
@@ -382,65 +385,48 @@ def _cached(m: int) -> FactoredNatural | None:
         return _period_cache.get(m)
 
 
-def _certify_period(p: int, candidate: dict[int, int]) -> FactoredNatural:
-    """Minimal period mod the prime p from a factored valid candidate, cached.
+def _prime_power_period(
+    p: int, e: int = 1, candidate: dict[int, int] | None = None
+) -> FactoredNatural:
+    """Minimal period mod the prime power p^e, factored and cached.
 
-    Valid indices are exactly the multiples of the true period, so stripping
-    prime factors while the property survives converges to it regardless of
-    the order primes are tried.
+    p must be a prime tested where it entered: in _factor_into, or in a
+    validated object. For e = 1 the period is found by descent from
+    candidate, a factored multiple of it; the default is p - 1 when
+    p == +-1 (mod 5), 2(p + 1) when p == +-2, and 20 for p = 5. Valid
+    indices are exactly the multiples of the true period, so stripping
+    prime factors while the property survives converges to it regardless
+    of the order primes are tried. For e >= 2 it is Wall's rule (Wall
+    1960): with t the largest j <= e for which period(p) is a period mod
+    p^j, it is p^(e-t) * period(p). The checks mod p^2, p^3, ... stop at
+    the first that fails, which for every known prime is the one mod p^2.
     """
-    cur = 1
-    for q, f in candidate.items():
-        cur *= q**f
-    if not _is_period(cur, p):
-        raise FibTowerError(f"period candidate {cur} invalid for modulus {p}")
-    fac = dict(candidate)
-    for q in sorted(fac):
-        while fac[q] and _is_period(cur // q, p):
-            cur //= q
-            fac[q] -= 1
-    # the candidate's primes were tested in factorize
-    result = FactoredNatural._trusted_map(fac)
-    with _period_cache_lock:
-        return _period_cache.setdefault(p, result)
-
-
-def pisano_prime(p: int) -> int:
-    """Period of the Fibonacci sequence mod a prime p.
-
-    Search bound: p - 1 when p == +-1 (mod 5), 2(p + 1) when p == +-2,
-    and 20 for p = 5; the minimal valid divisor of the bound is found by
-    descent and cached under p. Primality is tested first: the cache also
-    holds composite moduli.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    hit = _cached(p)
-    if hit is not None:
-        return hit.value
-    bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    return _certify_period(p, factorize(bound).factor_map()).value
-
-
-def _pisano_prime_power(p: int, e: int) -> FactoredNatural:
-    """Period mod p^e, factored, by Wall's rule (Wall 1960): with t the
-    largest j <= e for which period(p) is a period mod p^j, it is
-    p^(e-t) * period(p). The checks mod p^2, p^3, ... stop at the first
-    that fails, which for every known prime is the one mod p^2."""
     m = p**e
     hit = _cached(m)
     if hit is not None:
         return hit
-    pisano_prime(p)  # certifies and caches p
-    base = _cached(p)
     if e == 1:
-        return base
-    t = 1
-    while t < e and _is_period(base.value, p ** (t + 1)):
-        t += 1
-    fac = base.factor_map()
-    fac[p] = fac.get(p, 0) + e - t
-    # base's primes were tested when base was built, and p by pisano_prime
+        if candidate is None:
+            bound = 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+            candidate = factorize(bound).factor_map()
+        cur = 1
+        for q, f in candidate.items():
+            cur *= q**f
+        if not _is_period(cur, p):
+            raise FibTowerError(f"period candidate {cur} invalid for modulus {p}")
+        fac = dict(candidate)
+        for q in sorted(fac):
+            while fac[q] and _is_period(cur // q, p):
+                cur //= q
+                fac[q] -= 1
+    else:
+        base = _prime_power_period(p)
+        t = 1
+        while t < e and _is_period(base.value, p ** (t + 1)):
+            t += 1
+        fac = base.factor_map()
+        fac[p] = fac.get(p, 0) + e - t
+    # fac's primes are p and those of a factorize result or of p's entry
     result = FactoredNatural._trusted_map(fac)
     with _period_cache_lock:
         return _period_cache.setdefault(m, result)
@@ -456,20 +442,20 @@ def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        for q, f in _pisano_prime_power(p, e).factors:
+        for q, f in _prime_power_period(p, e).factors:
             merged[q] = max(merged.get(q, 0), f)
     return FactoredNatural._trusted_map(merged)
 
 
-def pisano_period_brute(m: int, cap: int | None = None) -> int:
+def pisano_period_brute(m: int) -> int:
     """Period mod m by direct pair iteration; independent of the factored path.
 
-    cap defaults to 6*m, the universal upper bound (attained at m = 2*5^k).
+    The iteration stops at 6m, the universal upper bound (attained at
+    m = 2*5^k).
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if cap is None:
-        cap = 6 * m
+    cap = 6 * m
     target_b = 1 % m
     a, b = 1 % m, 1 % m  # (F_1, F_2)
     t = 1
@@ -537,7 +523,7 @@ def factorize_fib(n: int) -> FactoredNatural:
         if fresh:
             candidate = factorize(4 * d).factor_map()
             for p in fresh:
-                _certify_period(p, candidate)
+                _prime_power_period(p, 1, candidate)
         primes.extend(found)
     fn = fib(n)
     exponents: dict[int, int] = {}
@@ -615,6 +601,6 @@ def chain_levels(k: int, target: FactoredNatural) -> list[list[tuple[int, int]]]
     # parts, would stay in the interpreter's per-size tuple free lists
     # (about 0.4 MB more peak RSS over a 1365-row sweep).
     return [
-        [(p**e, _pisano_prime_power(p, e).value) for p, e in modulus.factors]
+        [(p**e, _prime_power_period(p, e).value) for p, e in modulus.factors]
         for modulus in reversed(_walk(k, target)[:-1])
     ]

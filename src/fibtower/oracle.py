@@ -8,7 +8,6 @@ computes the tower value once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FibTowerError
@@ -16,23 +15,11 @@ from .fibcore import fib, fib_exceeds
 from .tower import TowerSpec
 
 DEFAULT_ORACLE_MAX_INDEX = 2_000_000
-ENV_MAX_INDEX = "FIBTOWER_MAX_INDEX"
 
 
 def oracle_budget(max_index: int | None = None) -> int:
-    """Effective index budget: explicit argument, else env override, else default."""
-    if max_index is not None:
-        return max_index
-    env = os.environ.get(ENV_MAX_INDEX)
-    if env is None:
-        return DEFAULT_ORACLE_MAX_INDEX
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{ENV_MAX_INDEX} must be a nonnegative integer, got {env!r}")
-    return value
+    """Effective index budget: the explicit argument, else the default."""
+    return DEFAULT_ORACLE_MAX_INDEX if max_index is None else max_index
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from math import gcd, lcm, prod
 import pytest
 
 from fibtower import (
-    CapExceeded,
     FactorBudgetExceeded,
     FactoredNatural,
     FibTowerError,
@@ -23,7 +22,6 @@ from fibtower import (
     is_prime,
     pisano_period,
     pisano_period_brute,
-    pisano_prime,
     tower_residue,
 )
 from fibtower import modfib
@@ -140,7 +138,7 @@ def test_every_factorization_reads_the_module_budget(cold_links, monkeypatch):
     with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
         factorize(100_103 * 100_109)
     with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
-        pisano_prime(20_081_202_419)
+        pi_of(20_081_202_419)
     with pytest.raises(FactorBudgetExceeded, match="^rho budget 50 exhausted"):
         tower_residue(TowerSpec(2, 5, 1), 100_103 * 100_109)
     assert not cold_links
@@ -381,19 +379,17 @@ def test_pisano_examples():
     assert pi_of(1) == 1
     assert pi_of(16) == 24
     assert pi_of(10) == 60
-    assert pisano_prime(2) == 3
-    assert pisano_prime(5) == 20
+    assert pi_of(2) == 3
+    assert pi_of(5) == 20
     assert pi_of(25) == 100
     assert pi_of(27) == 72
-    with pytest.raises(ValueError):
-        pisano_prime(9)  # composite
 
 
 def test_pisano_prime_bound_needs_rho():
     # p == 4 (mod 5), so the bound is p - 1 = 2 * 100003 * 100403, whose two
     # large primes lie past trial division
     p = 20_081_202_419
-    assert pisano_prime(p) == p - 1
+    assert pi_of(p) == p - 1
     assert fib_pair_mod(p - 1, p) == (0, 1)
     for q in (2, 100_003, 100_403):
         assert is_prime(q) and (p - 1) % q == 0
@@ -404,9 +400,6 @@ def test_pisano_brute_examples():
     assert pisano_period_brute(2) == 3
     assert pisano_period_brute(10) == 60
     assert pisano_period_brute(1) == 1
-    with pytest.raises(CapExceeded):
-        pisano_period_brute(10, cap=59)
-    assert pisano_period_brute(10, cap=60) == 60
 
 
 def test_factored_equals_brute_small():
@@ -545,13 +538,6 @@ def test_chain_checks_no_cached_part_again(cold_links, monkeypatch):
     assert_certified(cold_links)
 
 
-def test_pisano_prime_refuses_a_cached_composite(cold_links):
-    build_chain(2, factorize(9))
-    assert cold_links[9].value == 24
-    with pytest.raises(ValueError):
-        pisano_prime(9)
-
-
 def test_prime_power_chain_never_checks_its_modulus(cold_links, monkeypatch):
     # Wall's rule takes pi(7^3) from pi(7) and one check mod 7^2
     m = 7**3
@@ -570,43 +556,64 @@ def test_prime_power_chain_never_checks_its_modulus(cold_links, monkeypatch):
 
 def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
     # a composite chain modulus, and a tower evaluated over 216 = 8 * 27:
-    # every period check runs either inside _certify_period, mod a prime, or
-    # in Wall's check, at index pi(p) mod a power p^j; none in _walk
-    depth = [0]
+    # every period check runs inside _prime_power_period(p, e), either mod
+    # p by descent (e = 1) or at index pi(p) mod a power p^j, 2 <= j <= e,
+    # by Wall's rule; none in _walk
+    frames = []
     calls = []
-    is_period, certify = modfib._is_period, modfib._certify_period
+    is_period, period = modfib._is_period, modfib._prime_power_period
 
     def spy_is_period(t, modulus):
-        calls.append((depth[0], t, modulus))
+        calls.append((frames[-1] if frames else None, t, modulus))
         return is_period(t, modulus)
 
-    def spy_certify(*args):
-        depth[0] += 1
+    def spy_period(p, e=1, candidate=None):
+        frames.append((p, e))
         try:
-            return certify(*args)
+            return period(p, e, candidate)
         finally:
-            depth[0] -= 1
+            frames.pop()
 
     monkeypatch.setattr(modfib, "_is_period", spy_is_period)
-    monkeypatch.setattr(modfib, "_certify_period", spy_certify)
+    monkeypatch.setattr(modfib, "_prime_power_period", spy_period)
     assert build_chain(2, factorize(15)) == (60, 40, 15)
     tower_residue(TowerSpec(2, 5, 1), 216)
-    for depth_at_call, t, modulus in calls:
-        if depth_at_call:
-            assert is_prime(modulus), modulus
+    for frame, t, modulus in calls:
+        assert frame is not None, modulus
+        p, e = frame
+        if e == 1:
+            assert modulus == p and is_prime(p), modulus
         else:
-            p, j = factorize(modulus).factors[0]
-            assert modulus == p**j and j >= 2, modulus
+            assert modulus in {p**j for j in range(2, e + 1)}, modulus
             assert t == cold_links[p].value, modulus
-    assert any(not depth_at_call for depth_at_call, _, _ in calls)
+    assert any(e >= 2 for (_, e), _, _ in calls)
     assert 216 in cold_links
 
 
 def test_certify_period_refuses_an_invalid_candidate(cold_links):
     # 4 is not a period mod 3 (pi(3) = 8), and nothing is cached
     with pytest.raises(FibTowerError, match="period candidate 4 invalid for modulus 3"):
-        modfib._certify_period(3, {2: 2})
+        modfib._prime_power_period(3, 1, {2: 2})
     assert 3 not in cold_links
+
+
+def test_warm_prime_gives_its_powers_without_a_primality_test(
+    cold_links, monkeypatch
+):
+    # pi(7) is cached, and 7 came from a validated factorization: Wall's
+    # rule takes pi(7^3) from that entry without testing 7 again
+    pi_of(7)
+    calls = []
+    real_is_prime = modfib.is_prime
+
+    def spy_is_prime(p):
+        calls.append(p)
+        return real_is_prime(p)
+
+    monkeypatch.setattr(modfib, "is_prime", spy_is_prime)
+    target = FactoredNatural._trusted_map({7: 3})
+    assert build_chain(1, target) == (7**2 * 16, 7**3)
+    assert calls == []
 
 
 def test_prime_power_descent_matches_brute(cold_links):
@@ -661,7 +668,7 @@ def test_prime_power_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatc
     monkeypatch.setattr(
         modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)
     )
-    periods = [modfib._pisano_prime_power(7, e).value for e in (2, 3, 4)]
+    periods = [modfib._prime_power_period(7, e).value for e in (2, 3, 4)]
     assert periods == [16, 7 * 16, 7**2 * 16]
 
 

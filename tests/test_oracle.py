@@ -55,6 +55,8 @@ def test_oracle_feasible_examples():
 
 
 def test_oracle_budget_error_names_level():
+    assert oracle_budget() == 2_000_000
+    assert oracle_budget(12) == 12
     with pytest.raises(BudgetExceeded) as err:
         oracle_eval(TowerSpec(2, 10, 1), 500)  # index 550 at level 2
     assert "level 2" in str(err.value)
@@ -98,23 +100,6 @@ def test_oracle_feasible_never_computes_the_top_value(monkeypatch):
     monkeypatch.setattr(oracle, "fib", spy_fib)
     assert oracle_feasible(TowerSpec(3, 5, 1), 10**6)  # top index 375 125
     assert indices and max(indices) < 375_125
-
-
-def test_oracle_env_override(monkeypatch):
-    monkeypatch.setenv("FIBTOWER_MAX_INDEX", "100")
-    assert oracle_budget() == 100
-    assert not oracle_feasible(TowerSpec(2, 10, 1))
-    monkeypatch.delenv("FIBTOWER_MAX_INDEX")
-    assert oracle_budget() == 2_000_000
-    assert oracle_budget(12) == 12
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
-def test_oracle_env_override_rejects_non_integers(value, monkeypatch):
-    monkeypatch.setenv("FIBTOWER_MAX_INDEX", value)
-    with pytest.raises(ValueError, match="FIBTOWER_MAX_INDEX must be a nonnegative integer"):
-        oracle_budget()
-    assert oracle_budget(12) == 12  # an explicit budget does not read the variable
 
 
 def test_oracle_agrees_with_chain_engine_small():

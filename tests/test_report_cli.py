@@ -350,15 +350,6 @@ def test_cli_integer_argument_message(capsys):
     assert main(["fib", "0"]) == 0
 
 
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_cli_verify_rejects_bad_oracle_budget_variable(value, monkeypatch, capsys):
-    monkeypatch.setenv("FIBTOWER_MAX_INDEX", value)
-    assert main(["verify", "--suite", "oracle"]) == 2
-    err = capsys.readouterr().err
-    assert f"FIBTOWER_MAX_INDEX must be a nonnegative integer, got {value!r}" in err
-    assert "int()" not in err
-
-
 def test_cli_brute_refused_beyond_desk_scale(capsys):
     assert main(["pisano", "50000000", "--method", "brute"]) == 3
     assert "refused" in capsys.readouterr().err
