@@ -279,7 +279,7 @@ def factorize(x: int) -> FactoredNatural:
     if x < 1:
         raise ValueError("x must be positive")
     found: dict[int, int] = {}
-    _factor_into(found, x, 0)
+    _factor_into(found, x)
     return FactoredNatural.from_factor_map(found)
 
 
@@ -292,19 +292,19 @@ def _primality_cost(v: int) -> int:
     return bits * (bits * bits >> 18) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
 
 
-def _factor_into(found: dict[int, int], x: int, used: int) -> int:
-    """Add the prime factorization of x >= 1 to found; returns used plus
-    the units spent. Trial division, then is_prime and Brent rho on what
-    remains, under DEFAULT_FACTOR_BUDGET as it stands when this runs. A
-    primality test of a cofactor above 512 bits is charged (see
-    _primality_cost), and refused before it runs when the charge would
-    pass the budget."""
+def _factor_into(found: dict[int, int], x: int) -> None:
+    """Add the prime factorization of x >= 1 to found. Trial division, then
+    is_prime and Brent rho on what remains, under DEFAULT_FACTOR_BUDGET as
+    it stands when this runs. A primality test of a cofactor above 512
+    bits is charged (see _primality_cost), and refused before it runs when
+    the charge would pass the budget."""
     for p in _trial_primes():
         if p * p > x:
             break
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
+    used = 0
     stack = [x] if x > 1 else []
     while stack:
         v = stack.pop()
@@ -320,7 +320,6 @@ def _factor_into(found: dict[int, int], x: int, used: int) -> int:
         d, used = _brent_rho(v, used)
         stack.append(d)
         stack.append(v // d)
-    return used
 
 
 # ------------------------- modular Fibonacci -------------------------
@@ -469,10 +468,10 @@ def pisano_period_brute(m: int) -> int:
 
 # ----------------------------- factoring F_n -----------------------------
 
-# n -> the factorization of F_n, and n -> the message of its refusal, under
-# one lock. A refusal depends on n alone, so it is recorded too.
+# n -> the factorization of F_n, and d -> the primes of F_d's primitive part
+# or the message of its refusal, under one lock; each depends on its key alone.
 _fib_factor_cache: dict[int, FactoredNatural] = {}
-_fib_refusals: dict[int, str] = {}
+_fib_parts: dict[int, tuple[int, ...] | str] = {}
 _fib_factor_cache_lock = threading.Lock()
 
 
@@ -484,47 +483,48 @@ def _divisors(n: int) -> list[int]:
 def factorize_fib(n: int) -> FactoredNatural:
     """Complete factorization of F_n, built from its primitive parts.
 
-    Every prime of F_n divides F_d first at exactly one d | n, so taking
-    the divisors in increasing order and dividing out of F_d the primes
-    already found leaves F_d's primitive part, which gets factorize's
-    treatment under one DEFAULT_FACTOR_BUDGET shared by all the parts; a
-    refusal names F_d. The exponents in F_n then come by exact division.
-    Whether and how F_n is refused depends on n alone, so finished
-    factorizations and refusal messages are both cached per process by n:
-    a refused F_n spends its budget once per process. Each prime's
-    period is certified (and cached) by descent from 4d, a period of F_d
-    and hence of the prime, so the chain never factors p - 1 or 2(p + 1)
-    for a prime of F_n.
+    Every prime of F_n divides F_d first at exactly one d | n (Carmichael
+    1913), so taking the divisors in increasing order and dividing out of
+    F_d the primes already found leaves F_d's primitive part. Each part is
+    factored once per process, under its own DEFAULT_FACTOR_BUDGET, and
+    its primes, or its refusal naming F_d, cached by d; F_n is refused
+    with the message of its first refused part. A part's primes get their
+    periods certified (and cached) by descent from 4d, a period of F_d and
+    so of the prime: the chain never factors p - 1 or 2(p + 1) for them.
+    The exponents come by exact division; F_n's result is cached by n.
     """
     if n < 1:
         raise ValueError("index must be positive")
     with _fib_factor_cache_lock:
         hit = _fib_factor_cache.get(n)
-        refusal = _fib_refusals.get(n)
     if hit is not None:
         return hit
-    if refusal is not None:
-        raise FactorBudgetExceeded(refusal)
     primes: list[int] = []
-    used = 0
     for d in _divisors(n):
-        part = fib(d)
-        for p in primes:
-            while part % p == 0:
-                part //= p
-        found: dict[int, int] = {}
-        try:
-            used = _factor_into(found, part, used)
-        except FactorBudgetExceeded as exc:
+        with _fib_factor_cache_lock:
+            outcome = _fib_parts.get(d)
+        if outcome is None:
+            part = fib(d)
+            for p in primes:
+                while part % p == 0:
+                    part //= p
+            found: dict[int, int] = {}
+            try:
+                _factor_into(found, part)
+            except FactorBudgetExceeded as exc:
+                outcome = f"{exc} of F_{d}"
+            else:
+                outcome = tuple(found)
+                fresh = [p for p in found if _cached(p) is None]
+                if fresh:
+                    candidate = factorize(4 * d).factor_map()
+                    for p in fresh:
+                        _prime_power_period(p, 1, candidate)
             with _fib_factor_cache_lock:
-                refusal = _fib_refusals.setdefault(n, f"{exc} of F_{d}")
-            raise FactorBudgetExceeded(refusal) from None
-        fresh = [p for p in found if _cached(p) is None]
-        if fresh:
-            candidate = factorize(4 * d).factor_map()
-            for p in fresh:
-                _prime_power_period(p, 1, candidate)
-        primes.extend(found)
+                outcome = _fib_parts.setdefault(d, outcome)
+        if isinstance(outcome, str):
+            raise FactorBudgetExceeded(outcome)
+        primes.extend(outcome)
     fn = fib(n)
     exponents: dict[int, int] = {}
     for p in primes:

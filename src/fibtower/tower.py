@@ -205,10 +205,13 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
 
     - route 3 gives the residue: lift_residue expands the tower
       F_n-adically without factoring F_n;
-    - the chain route gives the report's chain: F_n is factored by
-      factorize_fib and the chain periods under DEFAULT_FACTOR_BUDGET, and
-      build_chain certifies the chain for F_n^(k+m). When that raises
-      FactorBudgetExceeded the chain is empty. The chain is evaluated
+    - the chain route gives the report's chain: factorize_fib factors
+      F_n part by part, each primitive part and each chain period under
+      its own DEFAULT_FACTOR_BUDGET, and build_chain certifies the chain
+      for F_n^(k+m). When that raises FactorBudgetExceeded, naming the
+      first refused part F_d, the chain is empty. A refused part is
+      factored once per process: a multiple of d is refused without
+      factoring it again. The chain is evaluated
       (see _chain_residue) only when route 3 raises LiftBudgetExceeded;
       when the chain was refused too, LiftBudgetExceeded names both
       refusals.

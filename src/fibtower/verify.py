@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
+from .errors import BudgetExceeded
 from .fibcore import (
     addition_formula_check,
     cassini,
@@ -208,10 +209,13 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
     residue from it, and lift_agreement calls lift_residue directly; the
     chain route's residue is checked by oracle_probe_agreement, whose
     probes include F_n^(k+m), the modulus analyze would evaluate the chain
-    at.
+    at. Raises BudgetExceeded when the index budget admits no grid spec,
+    so that no property passes on zero cases.
     """
     limit = oracle_budget(max_index)
     specs = list(_feasible_grid_specs(limit))
+    if not specs:
+        raise BudgetExceeded(f"oracle index budget {limit} admits no grid spec")
     exact = {spec: oracle_eval(spec, limit) for spec in specs}
     results = []
 

@@ -212,11 +212,11 @@ def test_factorize_fib_equals_factorize():
 
 @pytest.fixture
 def cold_fib_factors(monkeypatch):
-    """Empty factorize_fib caches (factorizations, returned, and refusals)
-    for one test; the process caches are restored."""
+    """Empty factorize_fib caches (factorizations, returned, and primitive
+    parts) for one test; the process caches are restored."""
     factors = {}
     monkeypatch.setattr(modfib, "_fib_factor_cache", factors)
-    monkeypatch.setattr(modfib, "_fib_refusals", {})
+    monkeypatch.setattr(modfib, "_fib_parts", {})
     return factors
 
 
@@ -232,17 +232,23 @@ def test_factorize_fib_refusal_ignores_a_warm_cache(cold_fib_factors):
     factorize_fib(100)
     factorize_fib(250)
     assert {100, 250} <= set(cold_fib_factors)
-    assert 500 not in cold_fib_factors  # refusals are never recorded
+    assert 500 not in cold_fib_factors  # a refusal is recorded by part
     assert refusal(500) == cold
 
 
-def test_factorize_fib_charges_cached_parts(cold_fib_factors, monkeypatch):
-    # F*_77 and F*_91 cost 894 and 1662 rho units: each fits a budget of
-    # 2000 alone, together they do not, so F_1001 (7 * 11 * 13) is refused
-    # on F_91's part whether those parts were cached or not
+def test_factorize_fib_gives_each_part_its_own_budget(cold_fib_factors, monkeypatch):
+    # F_600's parts each fit 130 000 rho units, though not all together
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 130_000)
+    fac = factorize_fib(600)
+    assert fac.value == fib(600) and len(fac.factors) == 29
+    assert FactoredNatural(fac.value, fac.factors) == fac  # every factor prime
+    # F*_77 and F*_91 cost 894 and 1662 units, each within 2000, so F_1001
+    # (7 * 11 * 13) is refused on its own part, whether or not they ran first
+    modfib._fib_parts.clear()
     monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 2000)
     cold = refusal(1001)
-    assert cold == "rho budget 2000 exhausted on a 15-digit cofactor of F_91"
+    assert cold == "rho budget 2000 exhausted on a 147-digit cofactor of F_1001"
+    modfib._fib_parts.clear()
     factorize_fib(77)
     factorize_fib(91)
     assert refusal(1001) == cold
@@ -251,21 +257,23 @@ def test_factorize_fib_charges_cached_parts(cold_fib_factors, monkeypatch):
 def test_factorize_fib_refusal_ignores_call_order(cold_fib_factors):
     alone = refusal(1000)
     cold_fib_factors.clear()
+    modfib._fib_parts.clear()
     refusal(500)
     assert refusal(1000) == alone
 
 
-def test_factorize_fib_refuses_a_recorded_n_without_factoring(
+def test_factorize_fib_refuses_a_multiple_of_a_refused_part_without_factoring(
     cold_fib_factors, monkeypatch
 ):
     cold = refusal(500)
+    factorize_fib(200)
 
     def refuse(*args):
-        raise AssertionError("a recorded refusal must not factor again")
+        raise AssertionError("a cached part must not be factored again")
 
     monkeypatch.setattr(modfib, "_factor_into", refuse)
-    assert refusal(500) == cold
-    assert modfib._fib_refusals == {500: cold}
+    assert refusal(1000) == cold
+    assert modfib._fib_parts[500] == cold
 
 
 def test_primitive_cache_under_concurrent_factorizations(cold_fib_factors):
@@ -339,6 +347,7 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
     chain = build_chain(4, target)
     levels = modfib.chain_levels(4, target)
     cold_fib_factors.clear()
+    modfib._fib_parts.clear()
     factoring, outside, calls = [0], [], []
     real_is_prime, factor_into = modfib.is_prime, modfib._factor_into
 

@@ -497,6 +497,17 @@ def test_cli_verify_oracle_small_budget(capsys):
     assert "oracle index budget: 2000" in out
 
 
+def test_cli_verify_oracle_refuses_a_budget_that_admits_no_spec(capsys):
+    # no property may pass on zero cases
+    for suite in ("oracle", "all"):
+        assert main(["verify", "--suite", suite, "--max-index", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exhausted: oracle index budget 0 admits no grid spec\n"
+        )
+
+
 def test_cli_version(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
