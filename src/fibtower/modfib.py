@@ -23,7 +23,7 @@ Wall's rule from its prime's entry, with no ladder mod p^e above p^(t+1),
 and nothing rests on the open question whether period(p^2) != period(p)
 for every prime: a Wall-Sun-Sun prime would only give t >= 2. Any other
 modulus enters only as a chain modulus, in the one chain walk (_walk)
-that build_chain and chain_levels share, the second writer: its
+that build_chain and tower_residue share, the second writer: its
 prime-power parts must be pairwise coprime (their lcm is the modulus,
 checked on the values, not taken from is_prime), and by the CRT the lcm
 of their cached periods is then the minimal period of the modulus, with
@@ -36,20 +36,22 @@ testing them again (FactoredNatural._trusted_map).
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
 nothing re-checks a chain afterwards, and no path takes a claimed period.
-The residue does not rest on the composite entries: chain_levels hands
-the evaluator each level as its prime-power parts, each with the part's
-own entry, which is a period of the part whether or not p is prime (see
-_period_cache), and the evaluator checks that every part's period
-divides the modulus one level down and that the parts are coprime (the
-CRT inverse exists). So the residue does not rest on is_prime, which is
-probabilistic above ~3.3e24; only the minimality of a prime power's
-entry, which the report's chain prints, rests on p being prime.
 
-This module serves the chain route of tower.analyze, which certifies the
-report's chain and stops where factoring F_n does: when factorize_fib or
-build_chain raises FactorBudgetExceeded, the report's chain is empty.
-analyze takes the residue from route 3 (fibtower.lift), and evaluates the
-chain only when route 3 is over its budget. Route 3 never factors F_n and
+Route 1 is walked and evaluated here, in tower_residue. The residue does
+not rest on the composite entries: each level is evaluated over its
+prime-power parts, each with the part's own entry, which is a period of
+the part whether or not p is prime (see _period_cache), and the
+evaluator checks that every part's period divides the modulus one level
+down and that the parts are coprime (the CRT inverse exists). So the
+residue does not rest on is_prime, which is probabilistic above ~3.3e24;
+only the minimality of a prime power's entry, which the report's chain
+prints, rests on p being prime.
+
+tower.analyze certifies the report's chain here and stops where
+factoring F_n does: when factorize_fib or build_chain raises
+FactorBudgetExceeded, the report's chain is empty. analyze takes the
+residue from route 3 (fibtower.lift), and calls tower_residue only when
+route 3 is refused (LiftBudgetExceeded). Route 3 never factors F_n and
 calls fib_mod, pisano_period and factorize here only on small moduli
 coprime to F_n.
 """
@@ -588,19 +590,49 @@ def build_chain(k: int, target: FactoredNatural) -> tuple[int, ...]:
     return tuple(modulus.value for modulus in reversed(_walk(k, target)))
 
 
-def chain_levels(k: int, target: FactoredNatural) -> list[list[tuple[int, int]]]:
-    """The top k moduli of target's chain, each a list of (prime-power
-    part, period) pairs.
+def tower_residue(spec, modulus: int | FactoredNatural) -> int:
+    """Tower value of spec mod modulus, by a depth-k Pisano chain (route 1).
 
-    Levels run bottom first, as build_chain's moduli do, without the bottom
-    period. The moduli come from the same walk as build_chain's, and each
-    part's period is the part's own cache entry (see _period_cache).
-    Raises as build_chain does.
+    Reads only spec.k, spec.n and spec.m. An int modulus is factored under
+    DEFAULT_FACTOR_BUDGET. F_i mod P depends on i only through i mod
+    period(P), so the chain is evaluated bottom-up: the bottom level is
+    F_n^m mod the chain's lowest modulus, and every level above is
+    evaluated over its prime-power parts P, F mod P at the index below
+    reduced mod P's own cache entry (a period of P even were P's base
+    composite, see _period_cache), the parts joined by the CRT (Garner's
+    form). A level then costs sum(bits(period) * M(bits(part))) over its
+    parts instead of one evaluation mod the whole modulus at an index as
+    large as its period.
+
+    Raises as build_chain does, and FibTowerError when a part's period does
+    not divide the modulus one level down (the index would not be
+    determined) or when two parts of a level share a factor (the CRT
+    inverse does not exist).
     """
-    # Lists, not tuples: a tuple per level, of as many sizes as levels have
-    # parts, would stay in the interpreter's per-size tuple free lists
-    # (about 0.4 MB more peak RSS over a 1365-row sweep).
-    return [
-        [(p**e, _prime_power_period(p, e).value) for p, e in modulus.factors]
-        for modulus in reversed(_walk(k, target)[:-1])
-    ]
+    k, n = spec.k, spec.n
+    if not isinstance(modulus, FactoredNatural):
+        modulus = factorize(modulus)
+    moduli = _walk(k, modulus)
+    below = moduli[k - 1].value
+    r = pow(fib(n), spec.m, below)
+    for level in reversed(moduli[: k - 1]):
+        x, product = 0, 1
+        for p, e in level.factors:
+            part, period = p**e, _prime_power_period(p, e).value
+            if below % period:
+                raise FibTowerError(
+                    f"period of a {part.bit_length()}-bit chain part does not "
+                    f"divide the {below.bit_length()}-bit modulus below it"
+                )
+            try:
+                inverse = pow(product, -1, part)
+            except ValueError:
+                raise FibTowerError(
+                    f"a {part.bit_length()}-bit chain part shares a factor "
+                    "with the other parts of its level"
+                ) from None
+            y = fib_mod(n * r % period, part)
+            x += product * ((y - x) * inverse % part)
+            product *= part
+        r, below = x, product
+    return r

@@ -4,28 +4,22 @@ A tower is the sequence that starts at F_n^m and repeatedly applies
 x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
-large for k >= 3, so everything here is computed through route 3's
-F_n-adic lift (fibtower.lift), which never factors F_n, or through Pisano
-chains, which analyze builds for its report.
+large for k >= 3, so it is never computed here: this module holds the
+spec, the case formula, analyze and the parity check, and takes residues
+from route 3's F_n-adic lift (fibtower.lift), which never factors F_n, or
+from route 1's Pisano chain (fibtower.modfib.tower_residue), which
+analyze also builds for its report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import prod
 
 from .errors import FactorBudgetExceeded, FibTowerError, LiftBudgetExceeded
 from .fibcore import fib
 from .lift import lift_residue
-from .modfib import (
-    FactoredNatural,
-    build_chain,
-    chain_levels,
-    factorize,
-    factorize_fib,
-    fib_mod,
-)
+from .modfib import build_chain, factorize_fib, tower_residue
 
 
 @dataclass(frozen=True)
@@ -135,61 +129,6 @@ class AnalysisReport:
     chain_summary: tuple[tuple[int, int], ...]
 
 
-def _chain_residue(spec: TowerSpec, levels: list[list[tuple[int, int]]], fn: int) -> int:
-    """Tower value mod the product of the top level's parts.
-
-    levels holds one level per tower step, bottom first, each a list of
-    (part, period) pairs: moduli whose product is the level's modulus,
-    each with a period of its own, minimal or not. The bottom level needs
-    only its modulus. Every later level is evaluated part by part, F mod
-    the part at the index reduced mod the part's own period, and the
-    parts are joined by the CRT (Garner's form). A level then costs
-    sum(bits(period) * M(bits(part))) over its parts instead of one
-    evaluation mod the whole modulus at an index as large as its period.
-
-    Sound whatever the levels' origin: raises FibTowerError when a part's
-    period does not divide the modulus one level down (the index would not
-    be determined) or when two parts of a level share a factor (the CRT
-    inverse does not exist).
-    """
-    below = prod(part for part, _ in levels[0])
-    r = pow(fn, spec.m, below)
-    for parts in levels[1:]:
-        x, modulus = 0, 1
-        for part, period in parts:
-            if below % period:
-                raise FibTowerError(
-                    f"period of a {part.bit_length()}-bit chain part does not "
-                    f"divide the {below.bit_length()}-bit modulus below it"
-                )
-            try:
-                inverse = pow(modulus, -1, part)
-            except ValueError:
-                raise FibTowerError(
-                    f"a {part.bit_length()}-bit chain part shares a factor "
-                    "with the other parts of its level"
-                ) from None
-            y = fib_mod(spec.n * r % period, part)
-            x += modulus * ((y - x) * inverse % part)
-            modulus *= part
-        r, below = x, modulus
-    return r
-
-
-def tower_residue(spec: TowerSpec, modulus: int | FactoredNatural) -> int:
-    """Tower value mod modulus, via a depth-k Pisano chain.
-
-    Sound because F_i mod P depends on i only through i mod period(P):
-    chain_levels walks the chain, certifying what the cache lacks, and
-    each level is evaluated over its prime-power parts P, each index
-    reduced mod period(P), which divides the modulus one level down and,
-    from Wall's rule, is a period of P even were P's base composite.
-    """
-    if not isinstance(modulus, FactoredNatural):
-        modulus = factorize(modulus)
-    return _chain_residue(spec, chain_levels(spec.k, modulus), fib(spec.n))
-
-
 def analyze(spec: TowerSpec) -> AnalysisReport:
     """Valuation/unit analysis of one tower spec against the predicted residue.
 
@@ -212,7 +151,7 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
       first refused part F_d, the chain is empty. A refused part is
       factored once per process: a multiple of d is refused without
       factoring it again. The chain is evaluated
-      (see _chain_residue) only when route 3 raises LiftBudgetExceeded;
+      (modfib.tower_residue) only when route 3 raises LiftBudgetExceeded;
       when the chain was refused too, LiftBudgetExceeded names both
       refusals.
     """
@@ -236,7 +175,7 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
         except LiftBudgetExceeded as exc:
             if refused is not None:
                 raise LiftBudgetExceeded(f"{refused}; {exc}") from None
-            x = _chain_residue(spec, chain_levels(k, target), fn)
+            x = tower_residue(spec, target)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0
@@ -266,7 +205,7 @@ def tower_parity_check(spec: TowerSpec) -> tuple[bool, bool, bool]:
     if spec.k < 2:
         raise ValueError("parity facts apply to towers of height at least 2")
     n = spec.n
-    r8 = tower_residue(spec, FactoredNatural(8, ((2, 3),)))
+    r8 = tower_residue(spec, 8)
     even_iff = (r8 % 2 == 0) == (n % 3 == 0 or n % 4 == 0)
     one_mod4 = r8 % 4 == 1 if (n % 2 and n % 3) else True
     zero_mod8 = r8 == 0 if n % 3 == 0 else True

@@ -28,8 +28,9 @@ from .lemmas import (
     truncated_expansion_check,
 )
 from .lift import lift_residue
+from .modfib import tower_residue
 from .oracle import oracle_budget, oracle_eval, oracle_feasible
-from .tower import TowerSpec, analyze, tower_parity_check, tower_residue
+from .tower import TowerSpec, analyze, tower_parity_check
 
 WITNESS_SAMPLE_SEED = 0x1F1B2
 

@@ -112,6 +112,19 @@ def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
         lift_residue(TowerSpec(3, 5, 4), 7)
 
 
+def spy_on_the_chain(monkeypatch):
+    """The specs analyze evaluates by the chain, in call order."""
+    evaluated = []
+    chain_residue = tower.tower_residue
+
+    def spy(spec, modulus):
+        evaluated.append(spec)
+        return chain_residue(spec, modulus)
+
+    monkeypatch.setattr(tower, "tower_residue", spy)
+    return evaluated
+
+
 def test_analyze_takes_route_3_first_and_the_chain_route_when_it_is_refused(
     monkeypatch,
 ):
@@ -123,23 +136,28 @@ def test_analyze_takes_route_3_first_and_the_chain_route_when_it_is_refused(
         raise AssertionError("the chain was evaluated while route 3 answers")
 
     with monkeypatch.context() as patch:
-        patch.setattr(tower, "_chain_residue", not_evaluated)
+        patch.setattr(tower, "tower_residue", not_evaluated)
         answered = {spec: analyze(spec) for spec in specs}
     for rep in answered.values():
         assert rep.match and rep.chain_summary
 
-    evaluated = []
-    chain_residue = tower._chain_residue
-
-    def spy(spec, *args):
-        evaluated.append(spec)
-        return chain_residue(spec, *args)
-
+    evaluated = spy_on_the_chain(monkeypatch)
     monkeypatch.setattr(lift, "LIFT_BUDGET", 0)
-    monkeypatch.setattr(tower, "_chain_residue", spy)
     for spec in specs:
         assert analyze(spec) == answered[spec]
     assert evaluated == specs
+
+
+def test_analyze_falls_back_to_the_chain_on_a_real_refusal(monkeypatch):
+    # nothing patched: n == 3 (mod 6) raises route 3's E by one per level,
+    # and the plan passes LIFT_BUDGET at level 75; the chain answers
+    spec = TowerSpec(200, 9, 1)
+    with pytest.raises(LiftBudgetExceeded, match="at level 75 of 199 "):
+        lift_residue(spec, 201)
+    evaluated = spy_on_the_chain(monkeypatch)
+    rep = analyze(spec)
+    assert evaluated == [spec]
+    assert rep.match and rep.exact and len(rep.chain_summary) == 200
 
 
 def test_plan_tops_do_not_grow_down_a_tall_tower():

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from decimal import Decimal
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import pytest
 
@@ -20,6 +20,7 @@ from fibtower import (
     fib_mod,
     fib_pair_mod,
     is_prime,
+    lift_residue,
     pisano_period,
     pisano_period_brute,
     tower_residue,
@@ -338,14 +339,15 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
 ):
     # their primes were validated where they came from; is_prime runs only
     # inside factoring (the period of every prime of F_120 is warm here).
-    # Warm periods and chains are merged from certified cache entries, with
-    # no is_prime call at all
+    # Warm periods and chains are merged from certified cache entries, and a
+    # warm chain is evaluated, with no is_prime call at all
     fn = factorize_fib(120)
     target = fn.power(3)
     moduli = [factorize(m) for m in (1, 97, 720, 10**6, 2**16 * 3**5, 7**4 * 11**3)]
     periods = [pisano_period(m) for m in moduli]
+    spec = TowerSpec(4, 120, 1)
     chain = build_chain(4, target)
-    levels = modfib.chain_levels(4, target)
+    residue = tower_residue(spec, target)
     cold_fib_factors.clear()
     modfib._fib_parts.clear()
     factoring, outside, calls = [0], [], []
@@ -371,9 +373,9 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
         powers = {e: fn.power(e) for e in (0, 1, 5)}
         calls.clear()
         warm = [pisano_period(m) for m in moduli]
-        warm_chain = build_chain(4, target), modfib.chain_levels(4, target)
+        warm_chain = build_chain(4, target), tower_residue(spec, target)
     assert outside == [] and calls == []
-    assert warm == periods and warm_chain == (chain, levels)
+    assert warm == periods and warm_chain == (chain, residue)
     assert cold == fn == factorize(fib(120))
     for e, power in powers.items():
         expected = FactoredNatural.from_factor_map({p: f * e for p, f in fn.factors})
@@ -481,14 +483,18 @@ def test_chain_cold_and_warm_agree(cold_links):
         assert t == pisano_period(factorize(m)).value
 
 
-def test_chain_levels_walk_the_chain_themselves(cold_links):
-    # no build_chain first: chain_levels certifies what the cache lacks
+def test_tower_residue_walks_the_chain_itself(cold_links):
+    # no build_chain first: the evaluator certifies what the cache lacks,
+    # and the chain it walked cold is the one a warm walk returns
+    spec = TowerSpec(4, 30, 1)
     target = factorize_fib(30).power(5)
-    cold = modfib.chain_levels(4, target)
+    cold = tower_residue(spec, target)
+    walked = dict(cold_links)
     moduli = build_chain(4, target)
-    assert modfib.chain_levels(4, target) == cold
-    assert [prod(part for part, _ in level) for level in cold] == list(moduli[1:])
-    assert lcm(*(t for _, t in cold[0])) == moduli[0]
+    assert set(moduli[1:]) <= set(walked)
+    assert_certified(walked)
+    assert tower_residue(spec, target) == cold == lift_residue(spec, 5)
+    assert cold_links == walked
 
 
 def test_chain_refuses_parts_that_share_a_factor(cold_links, monkeypatch):

@@ -215,11 +215,18 @@ def test_chain_part_period_must_divide_the_level_below(cold_links):
 
 def test_chain_parts_must_be_coprime(cold_links, monkeypatch):
     # a composite taken for a prime: "2 * 6" passes every period check
-    # (24 is the period of 6 and of 12) but has no CRT
+    # (24 is the period of 6 and of 12) but has no CRT. Cold, the walk
+    # refuses it; with 12's period warm, the walk takes the cache hit and
+    # the evaluator's CRT inverse refuses it
+    spec = TowerSpec(2, 5, 1)
     with monkeypatch.context() as patched:
         patched.setattr(modfib, "is_prime", lambda p: p in (2, 6))
         target = FactoredNatural(12, ((2, 1), (6, 1)))
     cold_links[6] = factorize(24)
-    with pytest.raises(FibTowerError, match="shares a factor") as exc:
-        tower_residue(TowerSpec(2, 5, 1), target)
+    with pytest.raises(FibTowerError, match="chain modulus shares a factor") as exc:
+        tower_residue(spec, target)
+    assert not isinstance(exc.value, ValueError)
+    tower_residue(spec, 12)
+    with pytest.raises(FibTowerError, match="shares a factor with the other parts") as exc:
+        tower_residue(spec, target)
     assert not isinstance(exc.value, ValueError)
