@@ -16,7 +16,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded, FibTowerError
+from .errors import BudgetExceeded, FibTowerError
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period, pisano_period_brute
 from .oracle import oracle_budget
@@ -32,15 +32,14 @@ from .report import (
     run_sweep,
 )
 from .tower import TowerSpec, analyze
-from .verify import suites_for
+from .verify import SUITES, oracle_suite, suites_for
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# brute period search stays affordable below this modulus
-BRUTE_LIMIT = 10_000_000
+# pisano checks its factored period by brute force up to this modulus
 CROSSCHECK_LIMIT = 100_000
 
 
@@ -61,7 +60,27 @@ def _nonnegative(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid nonnegative integer value: {shown}")
 
 
+def _range(text: str) -> tuple[int, int]:
+    """argparse type for the sweep's A..B arguments (report.parse_range)."""
+    try:
+        return parse_range(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _jobs(text: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand sets `run`, the function that answers it."""
     parser = argparse.ArgumentParser(
         prog="fibtower",
         description="Exact valuation and unit-residue analysis of Fibonacci index towers.",
@@ -70,37 +89,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fib = sub.add_parser("fib", help="exact Fibonacci number")
+    p_fib.set_defaults(run=_cmd_fib)
     p_fib.add_argument("index", type=_nonnegative)
     p_fib.add_argument("--max-index", type=_nonnegative, default=None)
 
     p_fibmod = sub.add_parser("fibmod", help="Fibonacci number modulo m")
+    p_fibmod.set_defaults(run=_cmd_fibmod)
     p_fibmod.add_argument("index", type=_nonnegative)
     p_fibmod.add_argument("modulus", type=_nonnegative)
 
     p_pisano = sub.add_parser("pisano", help="Pisano period of a modulus")
+    p_pisano.set_defaults(run=_cmd_pisano)
     p_pisano.add_argument("modulus", type=_nonnegative)
-    p_pisano.add_argument(
-        "--method", choices=("brute", "factored", "auto"), default="auto"
-    )
 
     p_analyze = sub.add_parser("analyze", help="analyze one tower spec")
+    p_analyze.set_defaults(run=_cmd_analyze)
     p_analyze.add_argument("k", type=_nonnegative)
     p_analyze.add_argument("n", type=_nonnegative)
     p_analyze.add_argument("m", type=_nonnegative)
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
 
     p_sweep = sub.add_parser("sweep", help="analyze a parameter grid")
-    p_sweep.add_argument("--k", required=True, metavar="A..B")
-    p_sweep.add_argument("--n", required=True, metavar="A..B")
-    p_sweep.add_argument("--m", required=True, metavar="A..B")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.set_defaults(run=_cmd_sweep)
+    p_sweep.add_argument("--k", type=_range, required=True, metavar="A..B")
+    p_sweep.add_argument("--n", type=_range, required=True, metavar="A..B")
+    p_sweep.add_argument("--m", type=_range, required=True, metavar="A..B")
+    p_sweep.add_argument("--jobs", type=_jobs, default=1)
     p_sweep.add_argument("--out", type=Path, default=None)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    p_verify.add_argument(
-        "--suite", choices=("identities", "lemmas", "oracle", "all"), default="all"
-    )
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("--suite", choices=tuple(SUITES), default="all")
     p_verify.add_argument("--max-index", type=_nonnegative, default=None)
 
     return parser
@@ -118,9 +138,6 @@ def _cmd_fib(args) -> int:
 
 
 def _cmd_fibmod(args) -> int:
-    if args.modulus < 1:
-        print("modulus must be positive", file=sys.stderr)
-        return EXIT_USAGE
     print(int_to_decimal(fib_mod(args.index, args.modulus)))
     return EXIT_OK
 
@@ -130,17 +147,6 @@ def _cmd_pisano(args) -> int:
     if m < 1:
         print("modulus must be positive", file=sys.stderr)
         return EXIT_USAGE
-    if args.method == "brute":
-        if m >= BRUTE_LIMIT:
-            raise CapExceeded(
-                f"brute period search refused for modulus >= {BRUTE_LIMIT}"
-            )
-        print(int_to_decimal(pisano_period_brute(m)))
-        return EXIT_OK
-    if args.method == "factored":
-        print(int_to_decimal(pisano_period(factorize(m)).value))
-        return EXIT_OK
-    # auto: factored, and cross-checked by brute force when cheap
     period = pisano_period(factorize(m)).value
     if m <= CROSSCHECK_LIMIT and period != pisano_period_brute(m):
         print(f"factored/brute disagreement for modulus {m}", file=sys.stderr)
@@ -183,19 +189,11 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK if analysis_status(report) == STATUS_OK else EXIT_MISMATCH
 
 
-def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        k_range = parse_range(args.k)
-        n_range = parse_range(args.n)
-        m_range = parse_range(args.m)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+def _cmd_sweep(args) -> int:
     if args.out is not None and not args.out.parent.is_dir():
         print(f"cannot write {args.out}: no directory {args.out.parent}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_sweep(k_range, n_range, m_range, jobs=args.jobs)
+    report = run_sweep(args.k, args.n, args.m, jobs=args.jobs)
     text = render_csv(report) if args.format == "csv" else render_json(report)
     if args.out is not None:
         try:
@@ -219,14 +217,9 @@ def _cmd_verify(args) -> int:
             failed += 1
             print(f"FAIL  {res.name}  ({res.cases} cases)  {res.detail}")
     total = len(results)
-    label = {
-        "identities": "identity families",
-        "lemmas": "lemma properties",
-        "oracle": "oracle agreement properties",
-        "all": "properties",
-    }[args.suite]
+    label, suites = SUITES[args.suite]
     print(f"{total - failed}/{total} {label} pass")
-    if args.suite in ("oracle", "all"):
+    if oracle_suite in suites:
         print(f"oracle index budget: {oracle_budget(args.max_index)}")
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
@@ -250,24 +243,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "fib":
-            return _cmd_fib(args)
-        if args.command == "fibmod":
-            return _cmd_fibmod(args)
-        if args.command == "pisano":
-            return _cmd_pisano(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -277,9 +258,6 @@ def _run(argv: list[str] | None) -> int:
     except FibTowerError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except SystemExit as exc:  # parser.error inside subcommands
-        return int(exc.code or 0)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

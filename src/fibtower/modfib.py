@@ -201,15 +201,15 @@ def _brent_rho(n: int, used: int) -> tuple[int, int]:
 class FactoredNatural:
     """A positive integer together with its complete prime factorization.
 
-    The public constructor and from_factor_map validate the factors, each
-    prime by is_prime; factorize builds through from_factor_map. The
-    private _trusted_map skips that, and serves only a map whose every
-    prime was tested where it entered: in _factor_into, or in a validated
-    object or cache entry. Every period cache entry is built through it,
-    by the cache's two writers: _prime_power_period for a prime power, and
-    _walk, from pisano_period, for a composite chain modulus. It keeps
-    the invariants __post_init__ checks: primes strictly increasing,
-    exponents positive, and their product the value.
+    The public constructor validates the factors, each prime by is_prime;
+    factorize builds through it. The private _trusted_map skips that, and
+    serves only a map whose every prime was tested where it entered: in
+    _factor_into, or in a validated object or cache entry. Every period
+    cache entry is built through it, by the cache's two writers:
+    _prime_power_period for a prime power, and _walk, from pisano_period,
+    for a composite chain modulus. It keeps the invariants __post_init__
+    checks: primes strictly increasing, exponents positive, and their
+    product the value.
     """
 
     value: int
@@ -233,13 +233,9 @@ class FactoredNatural:
             raise ValueError("factors do not multiply to value")
 
     @classmethod
-    def from_factor_map(cls, factors: dict[int, int]) -> "FactoredNatural":
-        return cls(*_value_and_items(factors))
-
-    @classmethod
     def _trusted_map(cls, factors: dict[int, int]) -> "FactoredNatural":
-        """from_factor_map without validation; every prime must be
-        validated already."""
+        """A prime -> exponent map's object, built without validation;
+        every prime must be validated already."""
         self = object.__new__(cls)
         value, items = _value_and_items(factors)
         object.__setattr__(self, "value", value)
@@ -282,7 +278,7 @@ def factorize(x: int) -> FactoredNatural:
         raise ValueError("x must be positive")
     found: dict[int, int] = {}
     _factor_into(found, x)
-    return FactoredNatural.from_factor_map(found)
+    return FactoredNatural(*_value_and_items(found))
 
 
 def _primality_cost(v: int) -> int:

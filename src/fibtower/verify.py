@@ -268,13 +268,21 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
     return results
 
 
+# --suite name -> (the label of its summary line, the suites it runs in order)
+SUITES = {
+    "identities": ("identity families", (identity_suite,)),
+    "lemmas": ("lemma properties", (lemma_suite,)),
+    "oracle": ("oracle agreement properties", (oracle_suite,)),
+    "all": ("properties", (identity_suite, lemma_suite, oracle_suite)),
+}
+
+
 def suites_for(name: str, max_index: int | None = None) -> list[PropertyResult]:
-    if name == "identities":
-        return identity_suite()
-    if name == "lemmas":
-        return lemma_suite()
-    if name == "oracle":
-        return oracle_suite(max_index)
-    if name == "all":
-        return identity_suite() + lemma_suite() + oracle_suite(max_index)
-    raise ValueError(f"unknown suite {name!r}")
+    """The results of SUITES[name]'s suites; max_index reaches the oracle suite."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return [
+        res
+        for suite in SUITES[name][1]
+        for res in (oracle_suite(max_index) if suite is oracle_suite else suite())
+    ]

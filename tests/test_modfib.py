@@ -378,7 +378,8 @@ def test_powers_and_factorize_fib_results_test_no_prime_again(
     assert warm == periods and warm_chain == (chain, residue)
     assert cold == fn == factorize(fib(120))
     for e, power in powers.items():
-        expected = FactoredNatural.from_factor_map({p: f * e for p, f in fn.factors})
+        factors = {p: f * e for p, f in fn.factors}
+        expected = FactoredNatural(*modfib._value_and_items(factors))
         assert power == expected and hash(power) == hash(expected), e
 
 

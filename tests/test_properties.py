@@ -197,10 +197,7 @@ ARGV = st.one_of(
     st.tuples(st.just("fib"), arg(2_000, 3)),
     st.tuples(st.just("fib"), arg(2_000, 3), st.just("--max-index"), arg(2_000, 3)),
     st.tuples(st.just("fibmod"), arg(10**6, 3), arg(10**6, 3)),
-    st.tuples(
-        st.just("pisano"), arg(5_000, 3), st.just("--method"),
-        st.sampled_from(["brute", "factored", "auto", "fast", ""]),
-    ),
+    st.tuples(st.just("pisano"), arg(5_000, 3)),
     st.tuples(st.just("analyze"), arg(4, 1), arg(12, 1), arg(3, 1)),
     st.tuples(
         st.just("sweep"), st.just("--k"), grid_range(), st.just("--n"), grid_range(),

@@ -310,9 +310,8 @@ def test_cli_fib_budget_exit(capsys):
 def test_cli_fibmod_and_pisano(capsys):
     assert main(["fibmod", "91", "4"]) == 0
     assert capsys.readouterr().out == "1\n"
-    for method in ("auto", "brute", "factored"):
-        assert main(["pisano", "4", "--method", method]) == 0
-        assert capsys.readouterr().out == "6\n"
+    assert main(["pisano", "4"]) == 0
+    assert capsys.readouterr().out == "6\n"
     # 75025 = 5^2 * 3001 and both prime-power parts have period 100
     assert main(["pisano", "75025"]) == 0
     assert capsys.readouterr().out == "100\n"
@@ -350,9 +349,12 @@ def test_cli_integer_argument_message(capsys):
     assert main(["fib", "0"]) == 0
 
 
-def test_cli_brute_refused_beyond_desk_scale(capsys):
-    assert main(["pisano", "50000000", "--method", "brute"]) == 3
-    assert "refused" in capsys.readouterr().err
+def test_cli_pisano_exits_1_when_brute_force_disagrees(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pisano_period_brute", lambda m: 7)
+    assert main(["pisano", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "factored/brute disagreement for modulus 4\n"
 
 
 def test_cli_analyze_budget_exit(capsys):
