@@ -21,8 +21,8 @@ from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period, pisano_period_brute
 from .oracle import oracle_budget
 from .report import (
-    STATUS_OK,
-    analysis_status,
+    _ANALYSIS_KEYS,
+    STATUS_MISMATCH,
     analysis_to_dict,
     decimal_to_int,
     int_to_decimal,
@@ -157,21 +157,7 @@ def _cmd_pisano(args) -> int:
 
 def _format_analysis(report) -> str:
     d = analysis_to_dict(report)
-    order = (
-        "k",
-        "n",
-        "m",
-        "fn",
-        "expected_valuation",
-        "divisibility_ok",
-        "unit_residue",
-        "exact",
-        "case",
-        "predicted_residue",
-        "match",
-        "trivial_base",
-        "status",
-    )
+    order = ("k", "n", "m", *(key for key in _ANALYSIS_KEYS if key != "chain"), "status")
     lines = [f"{key:>20}  {d[key]}" for key in order]
     chain = " <- ".join(str(level["modulus"]) for level in d["chain"])
     if not chain:
@@ -186,7 +172,7 @@ def _cmd_analyze(args) -> int:
         print(json.dumps(analysis_to_dict(report), indent=2, sort_keys=True))
     else:
         print(_format_analysis(report))
-    return EXIT_OK if analysis_status(report) == STATUS_OK else EXIT_MISMATCH
+    return EXIT_OK if report.match else EXIT_MISMATCH
 
 
 def _cmd_sweep(args) -> int:
@@ -204,7 +190,7 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     counts = report.summary()["status"]
-    return EXIT_MISMATCH if counts.get("mismatch") else EXIT_OK
+    return EXIT_MISMATCH if counts.get(STATUS_MISMATCH) else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

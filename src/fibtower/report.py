@@ -54,9 +54,18 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point: its spec and its analysis, None when a budget refused it."""
+
     spec: TowerSpec
     report: AnalysisReport | None
-    status: str
+
+    @property
+    def status(self) -> str:
+        """budget_exceeded without an analysis; else ok exactly when it matches
+        (match is false whenever divisibility failed)."""
+        if self.report is None:
+            return STATUS_BUDGET
+        return STATUS_OK if self.report.match else STATUS_MISMATCH
 
 
 @dataclass(frozen=True)
@@ -83,19 +92,13 @@ class SweepReport:
         return {"status": by_status, "case": by_case, "branch": by_branch}
 
 
-def analysis_status(report: AnalysisReport) -> str:
-    """The row status of a finished analysis: ok or mismatch."""
-    return STATUS_OK if report.divisibility_ok and report.match else STATUS_MISMATCH
-
-
 def _evaluate_point(point: tuple[int, int, int]) -> SweepRow:
     n, k, m = point
     spec = TowerSpec(k=k, n=n, m=m)
     try:
-        report = analyze(spec)
+        return SweepRow(spec, analyze(spec))
     except BudgetExceeded:
-        return SweepRow(spec=spec, report=None, status=STATUS_BUDGET)
-    return SweepRow(spec=spec, report=report, status=analysis_status(report))
+        return SweepRow(spec, None)
 
 
 def run_sweep(
@@ -242,6 +245,35 @@ def _parse_opt(text: str | None) -> int | None:
     return None if text is None else _parse_dec(text)
 
 
+def _as_is(value):
+    return value
+
+
+def _chain(chain_summary: tuple[tuple[int, int], ...]) -> list[dict[str, str]]:
+    return [{"modulus": _dec(mod), "period": _dec(per)} for mod, per in chain_summary]
+
+
+def _parse_chain(levels: list[dict[str, str]]) -> tuple[tuple[int, int], ...]:
+    return tuple((_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"])) for lvl in levels)
+
+
+# A row's analysis, one JSON key per AnalysisReport field:
+# key -> (field, encode, decode). A refused row holds None under every key.
+# cli._format_analysis prints the keys in this order.
+_ANALYSIS_KEYS = {
+    "fn": ("fn_value", _dec, _parse_dec),
+    "expected_valuation": ("expected_valuation", _dec, _parse_dec),
+    "divisibility_ok": ("divisibility_ok", _as_is, _as_is),
+    "unit_residue": ("unit_residue", _opt, _parse_opt),
+    "exact": ("exact", _as_is, _as_is),
+    "case": ("case", lambda case: case.value, CaseTag),
+    "predicted_residue": ("predicted_residue", _opt, _parse_opt),
+    "match": ("match", _as_is, _as_is),
+    "trivial_base": ("trivial_base", _as_is, _as_is),
+    "chain": ("chain_summary", _chain, _parse_chain),
+}
+
+
 def _row_dict(row: SweepRow) -> dict:
     out: dict = {
         "n": _dec(row.spec.n),
@@ -250,40 +282,14 @@ def _row_dict(row: SweepRow) -> dict:
         "status": row.status,
     }
     rep = row.report
-    if rep is None:
-        out.update(
-            fn=None,
-            expected_valuation=None,
-            divisibility_ok=None,
-            unit_residue=None,
-            exact=None,
-            case=None,
-            predicted_residue=None,
-            match=None,
-            trivial_base=None,
-            chain=None,
-        )
-        return out
-    out.update(
-        fn=_dec(rep.fn_value),
-        expected_valuation=_dec(rep.expected_valuation),
-        divisibility_ok=rep.divisibility_ok,
-        unit_residue=_opt(rep.unit_residue),
-        exact=rep.exact,
-        case=rep.case.value,
-        predicted_residue=_opt(rep.predicted_residue),
-        match=rep.match,
-        trivial_base=rep.trivial_base,
-        chain=[
-            {"modulus": _dec(mod), "period": _dec(per)} for mod, per in rep.chain_summary
-        ],
-    )
+    for key, (field, encode, _) in _ANALYSIS_KEYS.items():
+        out[key] = None if rep is None else encode(getattr(rep, field))
     return out
 
 
 def analysis_to_dict(report: AnalysisReport) -> dict:
     """JSON-ready dict for a single analysis (decimal-string integers)."""
-    return _row_dict(SweepRow(spec=report.spec, report=report, status=analysis_status(report)))
+    return _row_dict(SweepRow(report.spec, report))
 
 
 def _summary_dict(report: SweepReport) -> dict:
@@ -309,28 +315,20 @@ def render_json(report: SweepReport) -> str:
 
 
 def _parse_row(obj: dict) -> SweepRow:
+    """Inverse of _row_dict; rejects a stored status that the analysis does not give."""
     spec = TowerSpec(
         k=_parse_dec(obj["k"]), n=_parse_dec(obj["n"]), m=_parse_dec(obj["m"])
     )
-    if obj["fn"] is None:
-        return SweepRow(spec=spec, report=None, status=obj["status"])
-    report = AnalysisReport(
-        spec=spec,
-        fn_value=_parse_dec(obj["fn"]),
-        expected_valuation=_parse_dec(obj["expected_valuation"]),
-        divisibility_ok=obj["divisibility_ok"],
-        unit_residue=_parse_opt(obj["unit_residue"]),
-        exact=obj["exact"],
-        case=CaseTag(obj["case"]),
-        predicted_residue=_parse_opt(obj["predicted_residue"]),
-        match=obj["match"],
-        trivial_base=obj["trivial_base"],
-        chain_summary=tuple(
-            (_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"]))
-            for lvl in obj["chain"]
-        ),
-    )
-    return SweepRow(spec=spec, report=report, status=obj["status"])
+    report = None
+    if obj["fn"] is not None:
+        decoded = {
+            field: decode(obj[key]) for key, (field, _, decode) in _ANALYSIS_KEYS.items()
+        }
+        report = AnalysisReport(spec=spec, **decoded)
+    row = SweepRow(spec, report)
+    if row.status != obj["status"]:
+        raise ValueError(f"row {spec} is stored as {obj['status']!r} but reads {row.status!r}")
+    return row
 
 
 def parse_json(text: str) -> SweepReport:

@@ -71,6 +71,7 @@ def test_lift_trivial_bases_and_height_one():
     assert lift_residue(TowerSpec(4, 2, 3), 5) == 0
     assert lift_residue(TowerSpec(4, 10, 3), 0) == 0
     assert lift_residue(TowerSpec(1, 10, 3), 5) == 55**3
+    assert lift_residue(TowerSpec(3, 10, 2), 1) == 0
     with pytest.raises(ValueError):
         lift_residue(TowerSpec(2, 10, 1), -1)
 

@@ -26,7 +26,7 @@ from fibtower import (
     render_json,
     run_sweep,
 )
-from fibtower import FibTowerError, cli, report
+from fibtower import FibTowerError, cli, report, verify
 from fibtower.cli import main
 
 
@@ -72,6 +72,15 @@ def test_json_roundtrip_rejects_tampered_summary():
     payload = json.loads(render_json(report))
     payload["summary"]["status"]["ok"] = "999"
     with pytest.raises(ValueError):
+        parse_json(json.dumps(payload))
+    # a row's status alone changed, then with the summary tallied to agree:
+    # the status is derived from the row's analysis, so the row is refused
+    payload = json.loads(render_json(report))
+    payload["rows"][0]["status"] = "mismatch"
+    with pytest.raises(ValueError, match="stored as 'mismatch'"):
+        parse_json(json.dumps(payload))
+    payload["summary"]["status"] = {"mismatch": "1"}
+    with pytest.raises(ValueError, match="stored as 'mismatch'"):
         parse_json(json.dumps(payload))
 
 
@@ -122,7 +131,7 @@ def test_reports_beyond_int_str_digit_limit():
         k_range=(2, 2),
         n_range=(90, 90),
         m_range=(300, 300),
-        rows=(SweepRow(spec=spec, report=analysis, status="ok"),),
+        rows=(SweepRow(spec=spec, report=analysis),),
     )
     text = render_json(report)
     assert parse_json(text) == report
@@ -484,6 +493,17 @@ def test_cli_verify_identities(capsys):
     assert main(["verify", "--suite", "identities"]) == 0
     out = capsys.readouterr().out
     assert "7/7 identity families pass" in out
+
+
+def test_cli_verify_reports_a_failing_property(monkeypatch, capsys):
+    def fake():
+        return [verify._run("planted", [("a", True), ("b", False)])]
+
+    monkeypatch.setitem(verify.SUITES, "identities", ("identity families", (fake,)))
+    assert main(["verify", "--suite", "identities"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  planted  (2 cases)  counterexample: b" in out
+    assert "0/1 identity families pass" in out
 
 
 def test_cli_verify_lemmas(capsys):
