@@ -106,8 +106,8 @@ def truncated_expansion_residues(n: int, r: int, k: int) -> TruncationPair:
     These are the i = 1, 2 terms of the sum route 3 truncates
     (lift._multiple_residue), divided by F_n^(k+1). They stay separate on
     purpose: this is the paper's truncation lemma, checked on an exact r
-    against fib(n*r), while route 3 sees r only mod 4 cop((E-1)!) F_n^(E-1)
-    and keeps every term below E. Deriving one from the other would make
+    against fib(n*r), while route 3 sees r only mod 4 F_n^(E-1) or less and
+    keeps every term below E. Deriving one from the other would make
     the lemma check route 3's arithmetic against itself.
     """
     if n < 3:

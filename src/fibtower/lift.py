@@ -3,45 +3,52 @@
 Write F = F_n and F' = F_{n-1}. The index-multiple expansion
     F_{nx} = sum_{i=0..x} C(x,i) F^i F'^(x-i) F_i
 loses every term with i >= E modulo F^E, so F_{nx} mod F^E needs only
-E - 1 terms. Each power of F' is taken as F'^(x-i) = u^q * F'^s with
-u = F'^4: F'^2 == (-1)^n (mod F), so u - 1 is a multiple of F and
-    u^q == sum_{j<E} C(q,j) (u - 1)^j  (mod F^E),
+E - 1 terms. Each power of F' is taken as F'^(x-i) = (-1)^(nq) u^q F'^s,
+with x - i = 2q + s and Cassini's unit u = (-1)^n F'^2 == 1 (mod F). As
+u - 1 is a multiple of F,
+    u^q == sum_{j<E-1} C(q,j) (u - 1)^j  (mod F^(E-1)),
 which needs no pow with a big exponent (and holds for negative q too, u
-being a unit). C(z,i) mod F^(E-i) depends on z only mod i! F^(E-i), and
-for a prime p | F, v_p(i!) <= i - 1 <= (i - 1) v_p(F); so every term
-needs x only mod 4 * cop((E-1)!) * F^(E-1), where cop(.) is the part
-coprime to F, found by a gcd loop that never factors F.
+being a unit). Write i! = a_i b_i, a_i holding the primes of F and b_i
+coprime to F. C(z,i) mod F^j is (z(z-1)...(z-i+1) mod a_i F^j) / a_i
+times b_i^(-1), so it depends on z only mod a_i F^j; and for a prime
+p | F, v_p(i!) <= i - 1 <= (i - 1) v_p(F), so a_i divides F^(i-1). Every
+term therefore needs q only mod F^(E-2), and mod 2 for the sign when n is
+odd, and x only mod
+    w = lcm(2 lcm(2 if n is odd else 1, F^(E-2)), F^(E-1)),
+in which no factorial appears. a_i and b_i are split off by a gcd loop
+that never factors F.
 
 A level's modulus is S * F^e with S small. The part S_F of S whose primes
 divide F divides F^c for a least c and raises the exponent to E = e + c;
 the coprime rest S_0 is handled by F_{n (x mod pi(S_0))} mod S_0, and the
 two parts are joined by the CRT. The level below is then needed mod
-lcm(4 cop((E-1)!) F^(E-1), pi(S_0)): a prime of F that pi(S_0) or the 4
-brings into the next S counts only beyond its power in F^(E-1). So E
-stays put or falls by one per level down the tower, except where F is
-twice an odd number (n == 3 mod 6): there the 4 adds one to E per level.
+lcm(w, pi(S_0)): w / F^(E-1) is 1, 2 or 4, and a prime of F that it or
+pi(S_0) brings into the next S counts only beyond its power in F^(E-1).
+So E stays put or falls by one per level down the tower, for every n.
 pi(S_0) is the only Pisano period this route takes, always of a small
 number, and factorize, pisano_period and fib_mod are called on S_0 alone:
 the route shares no F_n-sized modulus, period or factorization with the
 chain route.
 
 The whole plan of (S, E) pairs is made before any level arithmetic, and
-lift_residue charges it against LIFT_BUDGET. Three checks can fail, each
-raising FibTowerError: F'^4 == 1 (mod F), the exactness of every division
-of a falling factorial by i!, and the coprimality of the CRT parts.
+lift_residue charges it against LIFT_BUDGET. Four checks can fail, each
+raising FibTowerError: (-1)^n F'^2 == 1 (mod F), the exactness of every
+division of a falling factorial by a_i, the invertibility of b_i mod
+F^(E-1), and the coprimality of the CRT parts.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import FibTowerError, LiftBudgetExceeded
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period
 
 # Lift units one tower may plan. A level of top exponent E is charged
-# E * (b^2 >> 18), b = E * (bits(F_n) + bits(E)) being about the size of
-# (E-1)! F_n^E: the level makes about 6E long divisions of that size. A
+# E * (b^2 >> 18), b = E * (bits(F_n) + bits(E)) bounding the size of
+# E! F_n^E: the level makes about 6E long products and divisions of
+# numbers up to about that size, or its square. A
 # 2-core x86-64 host (CPython 3.11.7) did 400 000 units a second or more, so
 # an admitted tower takes at most about 2 s.
 LIFT_BUDGET = 800_000
@@ -89,17 +96,46 @@ def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], 
             # w is what _multiple_residue needs of x; the lcm, not a
             # product, keeps E from growing (see the module docstring)
             low = fn ** (top - 1)
-            w = 4 * _coprime_part(factorial(top - 1), fn) * low
+            w = lcm(2 * lcm(2 if spec.n % 2 else 1, low // fn), low)
             s, e = lcm(w, t0) // low, top - 1
         else:
             s, e = t0, 0
     return levels, s, e
 
 
-def _multiple_residue(x: int, e: int, fn: int, fn1: int, u1: int) -> int:
-    """F_{n x} mod F^e, from any x' == x (mod 4 cop((e-1)!) F^(e-1)).
+def _factorial_parts(top: int, fn: int) -> tuple[list[int], list[int]]:
+    """For i < top, a_i and b_i^(-1) mod F^(top-1), where i! = a_i b_i, a_i
+    holding the primes of F and b_i coprime to F.
 
-    u1 is F'^4 - 1, a multiple of F.
+    One modular inverse, of b_(top-1); each b_(i-1)^(-1) is then b_i^(-1)
+    times b_i / b_(i-1).
+    """
+    a, cop = [1], [1]
+    for i in range(1, top):
+        cop.append(_coprime_part(i, fn))
+        a.append(a[-1] * (i // cop[i]))
+    mod = fn ** (top - 1)
+    try:
+        inverse = pow(prod(cop), -1, mod)
+    except ValueError:
+        raise FibTowerError(
+            f"the part of {top - 1}! coprime to F_n shares a factor with it"
+        ) from None
+    inverses = [0] * top
+    for i in range(top - 1, -1, -1):
+        inverses[i] = inverse
+        inverse = inverse * cop[i] % mod
+    return a, inverses
+
+
+def _multiple_residue(
+    x: int, e: int, fn: int, fn1: int, u1: int, odd: bool, parts: tuple[list[int], list[int]]
+) -> int:
+    """F_{n x} mod F^e, from any x' == x (mod lcm(2 lcm(2 if odd else 1,
+    F^(e-2)), F^(e-1))).
+
+    u1 is u - 1 = (-1)^n F'^2 - 1, a multiple of F; odd is whether n is odd;
+    parts is _factorial_parts at a top of at least e.
     """
     if e < 2:
         return 0  # F_n divides F_{n x}
@@ -107,33 +143,35 @@ def _multiple_residue(x: int, e: int, fn: int, fn1: int, u1: int) -> int:
     for _ in range(e):
         pw.append(pw[-1] * fn)
     low = pw[e - 1]
-    # falling factorials of x and q run mod (e-1)! F^(e-1); each C(z, i)
-    # is read mod i! F^j, a divisor of that and of what z is known mod
-    wide = factorial(e - 1) * low
+    a, inverses = parts
 
+    # falling factorials of x and q run mod F^(e-1); each C(z, i) is read
+    # mod F^j from the falling factorial mod a_i F^j, which divides F^(e-1)
     def binomial(fall: int, i: int, j: int) -> int:
-        whole = factorial(i)
-        part = fall % (whole * pw[j])
-        if part % whole:
-            raise FibTowerError(f"falling factorial not divisible by {i}!")
-        return part // whole
+        part = fall % (a[i] * pw[j])
+        if part % a[i]:
+            raise FibTowerError(
+                f"falling factorial not divisible by {a[i]}, the F_n-part of {i}!"
+            )
+        return part // a[i] * inverses[i]
 
-    # x - i = 4q + s_i, with s_i = t + e - 1 - i between 0 and e + 1
-    q, t = divmod(x - (e - 1), 4)
+    # x - i = 2q + s_i, with s_i = t + e - 1 - i between 0 and e - 1
+    q, t = divmod(x - (e - 1), 2)
     uq, fall, step = 1, 1, 1
     for j in range(1, e - 1):
-        fall = fall * (q - j + 1) % wide
+        fall = fall * (q - j + 1) % low
         step = step * u1 % low
         uq += binomial(fall, j, e - 1 - j) * step
-    uq %= low
-    # powers[s] = u^q F'^s mod F^(e-1), for s up to s_1 = t + e - 2
+    # F'^(2q) = (-1)^(n q) u^q
+    uq = (-uq if odd and q % 2 else uq) % low
+    # powers[s] = F'^(2q + s) mod F^(e-1), for s up to s_1 = t + e - 2
     powers = [uq]
     for _ in range(t + e - 2):
         powers.append(powers[-1] * fn1 % low)
     total, fall = 0, 1
     fj_prev, fj = 0, 1  # F_{i-1}, F_i
     for i in range(1, e):
-        fall = fall * (x - i + 1) % wide
+        fall = fall * (x - i + 1) % low
         c = binomial(fall, i, e - i)
         total += c * powers[t + e - 1 - i] % pw[e - i] * pw[i] * fj
         fj_prev, fj = fj, fj_prev + fj
@@ -154,12 +192,13 @@ def lift_residue(spec, e: int) -> int:
         return 0
     levels, s, low = _plan(spec, fn, e)
     fn1 = fib(n - 1)
-    u1 = fn1**4 - 1
+    u1 = (-1) ** n * fn1**2 - 1
     if u1 % fn:
-        raise FibTowerError(f"F_{n - 1}^4 is not 1 mod F_{n}")
+        raise FibTowerError(f"(-1)^{n} F_{n - 1}^2 is not 1 mod F_{n}")
+    parts = _factorial_parts(max((top for *_, top in levels), default=1), fn)
     x = pow(fn, m, s * fn**low)
     for s, e_level, s0, t0, top in reversed(levels):
-        y = _multiple_residue(x, top, fn, fn1, u1)
+        y = _multiple_residue(x, top, fn, fn1, u1, n % 2 == 1, parts)
         modulus = s // s0 * fn**e_level
         try:
             inverse = pow(modulus, -1, s0)

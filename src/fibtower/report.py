@@ -249,6 +249,13 @@ def _as_is(value):
     return value
 
 
+def _parse_bool(value) -> bool:
+    """Inverse of _as_is on a bool field; rejects anything but JSON true/false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"not a JSON boolean: {value!r}")
+    return value
+
+
 def _chain(chain_summary: tuple[tuple[int, int], ...]) -> list[dict[str, str]]:
     return [{"modulus": _dec(mod), "period": _dec(per)} for mod, per in chain_summary]
 
@@ -263,13 +270,13 @@ def _parse_chain(levels: list[dict[str, str]]) -> tuple[tuple[int, int], ...]:
 _ANALYSIS_KEYS = {
     "fn": ("fn_value", _dec, _parse_dec),
     "expected_valuation": ("expected_valuation", _dec, _parse_dec),
-    "divisibility_ok": ("divisibility_ok", _as_is, _as_is),
+    "divisibility_ok": ("divisibility_ok", _as_is, _parse_bool),
     "unit_residue": ("unit_residue", _opt, _parse_opt),
-    "exact": ("exact", _as_is, _as_is),
+    "exact": ("exact", _as_is, _parse_bool),
     "case": ("case", lambda case: case.value, CaseTag),
     "predicted_residue": ("predicted_residue", _opt, _parse_opt),
-    "match": ("match", _as_is, _as_is),
-    "trivial_base": ("trivial_base", _as_is, _as_is),
+    "match": ("match", _as_is, _parse_bool),
+    "trivial_base": ("trivial_base", _as_is, _parse_bool),
     "chain": ("chain_summary", _chain, _parse_chain),
 }
 

@@ -1,7 +1,5 @@
 """Route 3: the tower mod F_n^e by the F_n-adic expansion, F_n unfactored."""
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,7 +32,8 @@ def unit(spec):
 @given(k=st.integers(1, 8), n=st.integers(1, 90), m=st.integers(1, 12))
 @example(k=8, n=90, m=12)
 @example(k=8, n=3, m=12)
-@example(k=3, n=13, m=1)  # wrong if x is not carried mod 4 (u = F'^4)
+@example(k=2, n=5, m=1)  # wrong without the sign (-1)^q of F'^(2q) for odd n
+@example(k=4, n=11, m=1)  # wrong without the 2 that an odd n adds to w
 def test_lift_agrees_with_the_chain_route(k, n, m):
     spec = TowerSpec(k, n, m)
     target = factorize_fib(n).power(k + m)
@@ -92,24 +91,35 @@ def test_lift_budget_refuses_before_any_level_arithmetic(monkeypatch):
 # Each internal check, made to fail by a fault injected from outside.
 
 
-def test_lift_checks_that_f_n_minus_1_to_the_4_is_1_mod_f_n(monkeypatch):
+def test_lift_checks_that_cassinis_unit_is_1_mod_f_n(monkeypatch):
     monkeypatch.setattr(lift, "fib", lambda i: fib(i) + (i == 9))
-    with pytest.raises(FibTowerError, match=r"F_9\^4 is not 1 mod F_10"):
+    with pytest.raises(FibTowerError, match=r"\(-1\)\^10 F_9\^2 is not 1 mod F_10"):
         lift_residue(TowerSpec(2, 10, 1), 2)
 
 
 def test_lift_checks_that_binomial_divisions_are_exact(monkeypatch):
-    # a wrong 3! leaves the falling factorial of degree 3 undivided
-    monkeypatch.setattr(lift, "factorial", lambda i: math.factorial(i) + (i == 3))
-    with pytest.raises(FibTowerError, match="not divisible by 3!"):
-        lift_residue(TowerSpec(2, 10, 3), 5)
+    # F_12 = 144 shares 2 and 3 with 3!, so a_3 = 6; a wrong a_3 leaves the
+    # falling factorial of degree 3 undivided
+    parts = lift._factorial_parts
+
+    def wrong_a_3(top, fn):
+        a, inverses = parts(top, fn)
+        assert a[3] == 6
+        return a[:3] + [a[3] + 1] + a[4:], inverses
+
+    monkeypatch.setattr(lift, "_factorial_parts", wrong_a_3)
+    with pytest.raises(FibTowerError, match=r"not divisible by 7, the F_n-part of 3!"):
+        lift_residue(TowerSpec(2, 12, 3), 5)
 
 
 def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
-    # with nothing stripped, 5 = F_5 stays in the small part S_0 of a level
-    # whose other part is a power of F_5
+    # with nothing stripped, the 2 that an odd n brings into w stays in the
+    # small part S_0 of a level whose other part is a power of F_9 = 34
     monkeypatch.setattr(lift, "_coprime_part", lambda s, f: s)
     with pytest.raises(FibTowerError, match="share a factor"):
+        lift_residue(TowerSpec(3, 9, 1), 2)
+    # and, with nothing stripped, b_6 = 6! keeps the 5 of F_5: no inverse
+    with pytest.raises(FibTowerError, match="the part of 6! coprime to F_n shares a factor"):
         lift_residue(TowerSpec(3, 5, 4), 7)
 
 
@@ -150,28 +160,42 @@ def test_analyze_takes_route_3_first_and_the_chain_route_when_it_is_refused(
 
 
 def test_analyze_falls_back_to_the_chain_on_a_real_refusal(monkeypatch):
-    # nothing patched: n == 3 (mod 6) raises route 3's E by one per level,
-    # and the plan passes LIFT_BUDGET at level 75; the chain answers
-    spec = TowerSpec(200, 9, 1)
-    with pytest.raises(LiftBudgetExceeded, match="at level 75 of 199 "):
-        lift_residue(spec, 201)
+    # nothing patched: the top level's E = k + m = 1103 alone passes
+    # LIFT_BUDGET; F_5 = 5 factors, so the chain answers
+    spec = TowerSpec(3, 5, 1100)
+    with pytest.raises(LiftBudgetExceeded, match="at level 1 of 2 "):
+        lift_residue(spec, 1103)
     evaluated = spy_on_the_chain(monkeypatch)
     rep = analyze(spec)
     assert evaluated == [spec]
-    assert rep.match and rep.exact and len(rep.chain_summary) == 200
+    assert rep.match and rep.exact and len(rep.chain_summary) == 3
 
 
 def test_plan_tops_do_not_grow_down_a_tall_tower():
-    spec = TowerSpec(100, 30, 1)
-    levels, _, _ = lift._plan(spec, fib(30), 101)
-    assert len(levels) == 99
-    assert max(top for *_, top in levels) <= spec.k + spec.m
+    # F_3, F_9 and F_27 are twice an odd number (n == 3 mod 6)
+    for spec in [
+        TowerSpec(100, 30, 1),
+        TowerSpec(100, 27, 1),
+        TowerSpec(60, 3, 1),
+        TowerSpec(200, 9, 1),
+    ]:
+        levels, _, _ = lift._plan(spec, fib(spec.n), spec.k + spec.m)
+        tops = [top for *_, top in levels]
+        assert len(tops) == spec.k - 1 and tops[0] == spec.k + spec.m, spec
+        # E stays put or falls by one per level
+        assert all(top - 1 <= below <= top for top, below in zip(tops, tops[1:])), spec
 
 
 def test_lift_of_a_tall_tower_agrees_with_the_chain_route():
-    spec = TowerSpec(100, 30, 1)
-    target = factorize_fib(30).power(101)
-    assert lift_residue(spec, 101) == tower_residue(spec, target)
+    for spec in [
+        TowerSpec(100, 30, 1),
+        TowerSpec(100, 27, 1),
+        TowerSpec(100, 33, 2),
+        TowerSpec(200, 9, 1),
+    ]:
+        e = spec.k + spec.m
+        target = factorize_fib(spec.n).power(e)
+        assert lift_residue(spec, e) == tower_residue(spec, target), spec
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

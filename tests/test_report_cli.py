@@ -84,6 +84,14 @@ def test_json_roundtrip_rejects_tampered_summary():
         parse_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("key", ["divisibility_ok", "exact", "match", "trivial_base"])
+def test_json_roundtrip_rejects_a_flag_that_is_not_a_boolean(key):
+    payload = json.loads(render_json(run_sweep((2, 2), (4, 4), (1, 1))))
+    payload["rows"][0][key] = "yes"
+    with pytest.raises(ValueError, match="not a JSON boolean: 'yes'"):
+        parse_json(json.dumps(payload))
+
+
 def test_csv_layout():
     report = run_sweep((2, 2), (4, 4), (1, 1))
     text = render_csv(report)
