@@ -31,14 +31,32 @@ the route shares no F_n-sized modulus, period or factorization with the
 chain route.
 
 The whole plan of (S, E) pairs is made before any level arithmetic, and
-lift_residue charges it against LIFT_BUDGET. Four checks can fail, each
-raising FibTowerError: (-1)^n F'^2 == 1 (mod F), the exactness of every
-division of a falling factorial by a_i, the invertibility of b_i mod
-F^(E-1), and the coprimality of the CRT parts.
+lift_residue charges it against LIFT_BUDGET. Each pi(S_0) is taken once
+per process and kept by S_0.
+
+Level j of the plan of (k, n, m) is G(j, n, m), the tower's j-th term,
+mod S * F^e with e >= j + m and S small: the very residue the shorter
+tower (j, n, m) lifted, mod F^(j+m) and less far down. So every lifted
+level is kept in a memo, _lifted, which maps (n, m, j) to
+(M, G(j, n, m) mod M) and holds the towers of one n alone: a level of
+another n empties it before it is stored. A sweep visits its rows n by
+n, so it loses nothing by that. A call still makes and charges
+its whole plan before it reads the memo, so whether it is refused never
+depends on what ran before; it then starts from the highest level whose
+modulus divides a held M, and lifts only the levels above it. A level
+lifted again is merged with the held one by the generalized CRT.
+
+Five checks can fail, each raising FibTowerError: (-1)^n F'^2 == 1
+(mod F), the exactness of every division of a falling factorial by a_i,
+the invertibility of b_i mod F^(E-1), the coprimality of the CRT parts,
+and the agreement of two lifts of one level mod the gcd of their moduli.
+A level taken from the memo runs none of the checks inside its
+arithmetic again.
 """
 
 from __future__ import annotations
 
+import threading
 from math import gcd, lcm, prod
 
 from .errors import FibTowerError, LiftBudgetExceeded
@@ -52,6 +70,13 @@ from .modfib import factorize, fib_mod, pisano_period
 # 2-core x86-64 host (CPython 3.11.7) did 400 000 units a second or more, so
 # an admitted tower takes at most about 2 s.
 LIFT_BUDGET = 800_000
+
+# S_0 -> pi(S_0). Every S_0 divides 24, so this holds at most 8 entries.
+_small_periods: dict[int, int] = {}
+# (n, m, j) -> (M, G(j, n, m) mod M) for one n alone: a level of another n
+# empties it before it is stored. Under one lock.
+_lifted: dict[tuple[int, int, int], tuple[int, int]] = {}
+_lifted_lock = threading.Lock()
 
 
 def _coprime_part(s: int, f: int) -> int:
@@ -90,7 +115,9 @@ def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], 
                 f"lift budget {LIFT_BUDGET} exceeded at level {len(levels) + 1} "
                 f"of {spec.k - 1} lifting {spec} mod F_{spec.n}^{target}"
             )
-        t0 = pisano_period(factorize(s0)).value
+        t0 = _small_periods.get(s0)
+        if t0 is None:
+            t0 = _small_periods.setdefault(s0, pisano_period(factorize(s0)).value)
         levels.append((s, e, s0, t0, top))
         if top >= 2:
             # w is what _multiple_residue needs of x; the lcm, not a
@@ -178,11 +205,39 @@ def _multiple_residue(
     return total % pw[e]
 
 
+def _keep(spec, j: int, modulus: int, r: int) -> None:
+    """Merge r = G(j, n, m) mod modulus into _lifted by the generalized CRT.
+
+    Raises FibTowerError when r and the held residue disagree mod the gcd
+    of their moduli.
+    """
+    key = (spec.n, spec.m, j)
+    with _lifted_lock:
+        if _lifted and next(iter(_lifted))[0] != spec.n:
+            _lifted.clear()
+        held = _lifted.get(key)
+        if held is not None:
+            big, r_big = held
+            g = gcd(big, modulus)
+            if (r - r_big) % g:
+                raise FibTowerError(
+                    f"two lifts of G({j}, {spec.n}, {spec.m}) disagree mod the gcd "
+                    "of their moduli"
+                )
+            rest = modulus // g
+            modulus = big * rest
+            r = r_big + big * ((r - r_big) // g * pow(big // g, -1, rest) % rest)
+        _lifted[key] = modulus, r
+
+
 def lift_residue(spec, e: int) -> int:
     """Tower value of spec mod F_n^e, by route 3 (see the module docstring).
 
     Raises LiftBudgetExceeded, before any level arithmetic, when the plan's
-    charge passes LIFT_BUDGET, and FibTowerError when a check fails.
+    charge passes LIFT_BUDGET, and FibTowerError when a check fails. The
+    whole plan is made and charged whatever _lifted holds; the lift then
+    starts from the highest level that _lifted holds mod a multiple of the
+    level's modulus, and merges each level it lifts into _lifted.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -195,11 +250,21 @@ def lift_residue(spec, e: int) -> int:
     u1 = (-1) ** n * fn1**2 - 1
     if u1 % fn:
         raise FibTowerError(f"(-1)^{n} F_{n - 1}^2 is not 1 mod F_{n}")
-    parts = _factorial_parts(max((top for *_, top in levels), default=1), fn)
-    x = pow(fn, m, s * fn**low)
-    for s, e_level, s0, t0, top in reversed(levels):
+    # level i lifts G(k - i) mod moduli[i]; G(1) = F^m
+    moduli = [s_level * fn**e_level for s_level, e_level, *_ in levels]
+    start, x = len(levels), pow(fn, m, s * fn**low)
+    with _lifted_lock:
+        for i, modulus in enumerate(moduli):
+            held = _lifted.get((n, m, k - i))
+            if held is not None and held[0] % modulus == 0:
+                start, x = i, held[1] % modulus
+                break
+    if start:
+        parts = _factorial_parts(max(top for *_, top in levels[:start]), fn)
+    for i in range(start - 1, -1, -1):
+        _, _, s0, t0, top = levels[i]
         y = _multiple_residue(x, top, fn, fn1, u1, n % 2 == 1, parts)
-        modulus = s // s0 * fn**e_level
+        modulus = moduli[i] // s0
         try:
             inverse = pow(modulus, -1, s0)
         except ValueError:
@@ -209,4 +274,5 @@ def lift_residue(spec, e: int) -> int:
         y0 = fib_mod(n * x % t0, s0)
         y %= modulus
         x = y + modulus * ((y0 - y) * inverse % s0)
+        _keep(spec, k - i, moduli[i], x)
     return x

@@ -37,6 +37,13 @@ A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
 nothing re-checks a chain afterwards, and no path takes a claimed period.
 
+factorize trial-divides by the primes up to _TRIAL_LIMIT, then takes a
+composite cofactor that is a perfect power by its exact root, and
+splits any other by Brent rho.
+factorize_fib trial-divides F_d's primitive part only by the primes
+== +-1 (mod d) (see _rank_primes): no other prime divides the part, so
+the same primes are found and rho gets the same cofactor.
+
 Route 1 is walked and evaluated here, in tower_residue. The residue does
 not rest on the composite entries: each level is evaluated over its
 prime-power parts, each with the part's own entry, which is a period of
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from math import gcd, isqrt, lcm
@@ -75,11 +83,12 @@ DEFAULT_FACTOR_SEED = 2_971_215_073
 
 _TRIAL_LIMIT = 100_000
 _small_primes: list[int] = []
+_trial_sieve = bytearray()
 _small_primes_lock = threading.Lock()
 
 
 def _trial_primes() -> list[int]:
-    global _small_primes
+    global _small_primes, _trial_sieve
     if not _small_primes:
         with _small_primes_lock:
             if not _small_primes:
@@ -88,8 +97,28 @@ def _trial_primes() -> list[int]:
                 for p in range(2, isqrt(_TRIAL_LIMIT) + 1):
                     if sieve[p]:
                         sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+                _trial_sieve = sieve
                 _small_primes = [i for i, v in enumerate(sieve) if v]
     return _small_primes
+
+
+def _rank_primes(d: int) -> Iterable[int]:
+    """The trial primes that can divide F_d's primitive part, increasing.
+
+    A prime p first divides F_z at its rank of apparition z, which divides
+    p - (5/p) (Lucas 1878; Carmichael 1913), so for d > 2 those are the
+    primes == +-1 (mod d), but for the 5 of F_5.
+    """
+    primes = _trial_primes()
+    if d <= 2 or d == 5:
+        return primes
+    sieve = _trial_sieve
+    return (
+        q
+        for base in range(d, _TRIAL_LIMIT + 2, d)
+        for q in (base - 1, base + 1)
+        if q <= _TRIAL_LIMIT and sieve[q]
+    )
 
 
 # ------------------------------ primality ------------------------------
@@ -264,7 +293,8 @@ def _value_and_items(
 
 
 def factorize(x: int) -> FactoredNatural:
-    """Complete factorization: trial division, then Brent rho on what remains.
+    """Complete factorization: trial division, then an exact root of a
+    perfect power and Brent rho on what remains.
 
     Deterministic: rho's parameters come from DEFAULT_FACTOR_SEED.
     DEFAULT_FACTOR_BUDGET caps the rho work spent on all cofactors
@@ -277,7 +307,7 @@ def factorize(x: int) -> FactoredNatural:
     if x < 1:
         raise ValueError("x must be positive")
     found: dict[int, int] = {}
-    _factor_into(found, x)
+    _factor_into(found, x, _trial_primes())
     return FactoredNatural(*_value_and_items(found))
 
 
@@ -290,22 +320,50 @@ def _primality_cost(v: int) -> int:
     return bits * (bits * bits >> 18) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
 
 
-def _factor_into(found: dict[int, int], x: int) -> None:
-    """Add the prime factorization of x >= 1 to found. Trial division, then
-    is_prime and Brent rho on what remains, under DEFAULT_FACTOR_BUDGET as
-    it stands when this runs. A primality test of a cofactor above 512
-    bits is charged (see _primality_cost), and refused before it runs when
-    the charge would pass the budget."""
-    for p in _trial_primes():
+def _perfect_root(v: int) -> tuple[int, int]:
+    """(r, j) with r^j = v and j > 1 prime, or (v, 1) when v is no perfect
+    power; v > 1 must have no prime factor up to _TRIAL_LIMIT.
+
+    So r > _TRIAL_LIMIT, and j is tried only while _TRIAL_LIMIT^j <= v.
+    Exact integer roots: isqrt for j = 2, else Newton's method on ints
+    from a power of two above the root.
+    """
+    for j in _trial_primes():
+        if _TRIAL_LIMIT**j > v:
+            break
+        if j == 2:
+            r = isqrt(v)
+        else:
+            r = 1 << -(-v.bit_length() // j)
+            while True:
+                s = ((j - 1) * r + v // r ** (j - 1)) // j
+                if s >= r:
+                    break
+                r = s
+        if r**j == v:
+            return r, j
+    return v, 1
+
+
+def _factor_into(found: dict[int, int], x: int, trial: Iterable[int]) -> None:
+    """Add the prime factorization of x >= 1 to found. Trial division by
+    trial, increasing primes that must include every prime up to
+    _TRIAL_LIMIT that can divide x; then is_prime, a perfect-power test
+    and Brent rho on what remains, under DEFAULT_FACTOR_BUDGET as it
+    stands when this runs. A primality test of a cofactor above 512 bits
+    is charged (see _primality_cost), and refused before it runs when the
+    charge would pass the budget."""
+    for p in trial:
         if p * p > x:
             break
         while x % p == 0:
             found[p] = found.get(p, 0) + 1
             x //= p
     used = 0
-    stack = [x] if x > 1 else []
+    # (cofactor, multiplicity)
+    stack = [(x, 1)] if x > 1 else []
     while stack:
-        v = stack.pop()
+        v, count = stack.pop()
         used += _primality_cost(v)
         if used > DEFAULT_FACTOR_BUDGET:
             raise FactorBudgetExceeded(
@@ -313,11 +371,15 @@ def _factor_into(found: dict[int, int], x: int) -> None:
                 f"on a {_digits(v)}-digit cofactor"
             )
         if is_prime(v):
-            found[v] = found.get(v, 0) + 1
+            found[v] = found.get(v, 0) + count
+            continue
+        r, j = _perfect_root(v)
+        if j > 1:
+            stack.append((r, count * j))
             continue
         d, used = _brent_rho(v, used)
-        stack.append(d)
-        stack.append(v // d)
+        stack.append((d, count))
+        stack.append((v // d, count))
 
 
 # ------------------------- modular Fibonacci -------------------------
@@ -508,7 +570,7 @@ def factorize_fib(n: int) -> FactoredNatural:
                     part //= p
             found: dict[int, int] = {}
             try:
-                _factor_into(found, part)
+                _factor_into(found, part, _rank_primes(d))
             except FactorBudgetExceeded as exc:
                 outcome = f"{exc} of F_{d}"
             else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fibtower import modfib
+from fibtower import lift, modfib
 
 
 @pytest.fixture
@@ -16,3 +16,13 @@ def cold_links(monkeypatch):
     monkeypatch.setattr(modfib, "_fib_parts", {})
     monkeypatch.setattr(modfib, "_fib_factor_cache", {})
     return links
+
+
+@pytest.fixture
+def cold_lift(monkeypatch):
+    """An empty route 3 memo for one test; the process memo is restored. A
+    level the memo holds is not lifted again, so the checks inside its
+    arithmetic would not run."""
+    lifted = {}
+    monkeypatch.setattr(lift, "_lifted", lifted)
+    return lifted

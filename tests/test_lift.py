@@ -1,5 +1,8 @@
 """Route 3: the tower mod F_n^e by the F_n-adic expansion, F_n unfactored."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -97,7 +100,7 @@ def test_lift_checks_that_cassinis_unit_is_1_mod_f_n(monkeypatch):
         lift_residue(TowerSpec(2, 10, 1), 2)
 
 
-def test_lift_checks_that_binomial_divisions_are_exact(monkeypatch):
+def test_lift_checks_that_binomial_divisions_are_exact(cold_lift, monkeypatch):
     # F_12 = 144 shares 2 and 3 with 3!, so a_3 = 6; a wrong a_3 leaves the
     # falling factorial of degree 3 undivided
     parts = lift._factorial_parts
@@ -112,7 +115,7 @@ def test_lift_checks_that_binomial_divisions_are_exact(monkeypatch):
         lift_residue(TowerSpec(2, 12, 3), 5)
 
 
-def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
+def test_lift_checks_that_the_crt_parts_are_coprime(cold_lift, monkeypatch):
     # with nothing stripped, the 2 that an odd n brings into w stays in the
     # small part S_0 of a level whose other part is a power of F_9 = 34
     monkeypatch.setattr(lift, "_coprime_part", lambda s, f: s)
@@ -121,6 +124,124 @@ def test_lift_checks_that_the_crt_parts_are_coprime(monkeypatch):
     # and, with nothing stripped, b_6 = 6! keeps the 5 of F_5: no inverse
     with pytest.raises(FibTowerError, match="the part of 6! coprime to F_n shares a factor"):
         lift_residue(TowerSpec(3, 5, 4), 7)
+
+
+def test_lift_checks_that_two_lifts_of_a_level_agree(cold_lift):
+    # G(3, 12, 1) held mod F_12 alone: F_12^4 does not divide that, so the
+    # level is lifted again, and the two must agree mod F_12
+    spec, fn = TowerSpec(3, 12, 1), fib(12)
+    value = lift_residue(spec, 4)
+    cold_lift.clear()
+    cold_lift[12, 1, 3] = fn, (value + 1) % fn
+    with pytest.raises(FibTowerError, match=r"two lifts of G\(3, 12, 1\) disagree"):
+        lift_residue(spec, 4)
+    # an entry that agrees mod F_12 is merged by the CRT
+    cold_lift.clear()
+    cold_lift[12, 1, 3] = 5 * fn, value % fn + 2 * fn
+    assert lift_residue(spec, 4) == value
+    modulus, merged = cold_lift[12, 1, 3]
+    assert modulus == 5 * fn**4
+    assert merged % fn**4 == value and merged % (5 * fn) == value % fn + 2 * fn
+
+
+def count_lifted_levels(monkeypatch):
+    """A list that grows by one for each level route 3 lifts."""
+    lifted = []
+    multiple_residue = lift._multiple_residue
+
+    def spy(*args):
+        lifted.append(args[1])
+        return multiple_residue(*args)
+
+    monkeypatch.setattr(lift, "_multiple_residue", spy)
+    return lifted
+
+
+@pytest.mark.parametrize("n", [26, 73, 75, 80])
+def test_a_sweep_column_lifted_warm_equals_it_lifted_cold(cold_lift, monkeypatch, n):
+    # k ascending and m = 1..3, the order of run_sweep's rows for one n;
+    # each row is lifted once on the memo its earlier rows left, and once
+    # on an empty one
+    lifted = count_lifted_levels(monkeypatch)
+    warm_levels = cold_levels = 0
+    for k in range(2, 9):
+        for m in range(1, 4):
+            spec = TowerSpec(k, n, m)
+            del lifted[:]
+            warm = lift_residue(spec, k + m)
+            warm_levels += len(lifted)
+            held = dict(cold_lift)
+            cold_lift.clear()
+            del lifted[:]
+            assert lift_residue(spec, k + m) == warm, spec
+            cold_levels += len(lifted)
+            cold_lift.clear()
+            cold_lift.update(held)
+    assert cold_levels == 3 * sum(range(1, 8))
+    assert warm_levels < cold_levels
+
+
+def test_a_warm_lift_still_charges_the_whole_plan(cold_lift, monkeypatch):
+    # the memo holds the whole answer, yet the plan is refused as it is cold
+    spec = TowerSpec(3, 30, 1)
+    lift_residue(spec, 4)
+    assert (30, 1, 3) in cold_lift
+    lifted = count_lifted_levels(monkeypatch)
+    monkeypatch.setattr(lift, "LIFT_BUDGET", 0)
+    with pytest.raises(LiftBudgetExceeded) as warm:
+        lift_residue(spec, 4)
+    cold_lift.clear()
+    with pytest.raises(LiftBudgetExceeded) as cold:
+        lift_residue(spec, 4)
+    assert str(warm.value) == str(cold.value) == (
+        f"lift budget 0 exceeded at level 1 of 2 lifting {spec} mod F_30^4"
+    )
+    assert lifted == []
+
+
+def test_the_memo_holds_the_latest_n_alone(cold_lift):
+    lift_residue(TowerSpec(4, 26, 2), 6)
+    assert {key[:2] for key in cold_lift} == {(26, 2)}
+    assert sorted(j for *_, j in cold_lift) == [2, 3, 4]
+    lift_residue(TowerSpec(2, 73, 1), 3)
+    assert list(cold_lift) == [(73, 1, 2)]
+
+
+def test_the_memo_under_concurrent_lifts(cold_lift):
+    # four threads walk the columns of n = 26 and n = 27, two forward and
+    # two backward, so each keeps emptying the memo for the others
+    specs = [TowerSpec(k, n, m) for n in (26, 27) for k in range(2, 7) for m in (1, 2)]
+    expected = {}
+    for spec in specs:
+        cold_lift.clear()
+        expected[spec] = lift_residue(spec, spec.k + spec.m)
+    cold_lift.clear()
+    results, errors = [], []
+
+    def work(order):
+        try:
+            for spec in order:
+                results.append((spec, lift_residue(spec, spec.k + spec.m)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(specs[::step],)) for step in (1, -1, 1, -1)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(results) == 4 * len(specs)
+    assert all(value == expected[spec] for spec, value in results)
+    assert len({n for n, _, _ in cold_lift}) == 1
 
 
 def spy_on_the_chain(monkeypatch):

@@ -171,9 +171,10 @@ def test_primality_and_rho_beyond_int_str_digit_limit(monkeypatch):
     sys.set_int_max_str_digits(640)
     try:
         assert not is_prime(41**430)  # 694 digits, no prime factor below 41
-        # 100003 is past trial division; the budget pays for the primality
-        # test of the 701-digit cofactor and for one rho iteration on it
-        x = 100_003**140
+        # 100003 and 100019 are past trial division, and x is no perfect
+        # power, which factorize would take by its exact root; the budget pays for the primality test of the 701-digit
+        # cofactor and for rho's first step on it
+        x = 100_003**139 * 100_019
         monkeypatch.setattr(
             modfib, "DEFAULT_FACTOR_BUDGET", modfib._primality_cost(x) + 10
         )
@@ -206,9 +207,39 @@ def test_factorize_refuses_a_huge_cofactor_before_testing_its_primality(monkeypa
     assert modfib._primality_cost(2**512) == 513 * 1 * 44
 
 
+def test_factorize_takes_a_perfect_power_by_its_exact_root(monkeypatch):
+    # rho's budget once ran out on each prime power below; no rho runs now
+    for p in (10**12 + 39, 2**61 - 1, 10**17 + 3):
+        assert is_prime(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(modfib, "_brent_rho", None)
+        assert factorize((10**12 + 39) ** 2).factors == ((10**12 + 39, 2),)
+        assert factorize((2**61 - 1) ** 3).factors == ((2**61 - 1, 3),)
+        assert factorize(7 * (10**17 + 3) ** 2).factors == ((7, 1), (10**17 + 3, 2))
+        # a sixth power is a square, then a cube
+        assert factorize((10**12 + 39) ** 6).factors == ((10**12 + 39, 6),)
+    # rho splits the root of a composite power
+    assert factorize((100_003 * 100_019) ** 5).factors == ((100_003, 5), (100_019, 5))
+    # no exact root of a square times a prime, or of a product of primes
+    assert modfib._perfect_root((2**61 - 1) ** 2 * (10**12 + 39)) == (
+        (2**61 - 1) ** 2 * (10**12 + 39),
+        1,
+    )
+    assert modfib._perfect_root(100_003 * 100_019) == (100_003 * 100_019, 1)
+
+
 def test_factorize_fib_equals_factorize():
     for n in [*range(1, 151), 200, 300, 400]:
         assert factorize_fib(n) == factorize(fib(n)), n
+
+
+def test_primitive_parts_are_trial_divided_by_primes_1_or_minus_1_mod_d():
+    # test_factorize_fib_equals_factorize shows no prime of a part is missed
+    primes = modfib._trial_primes()
+    for d in (3, 4, 6, 7, 89, 97, 1000, 99_999, 100_001, 200_000):
+        assert list(modfib._rank_primes(d)) == [p for p in primes if p % d in (1, d - 1)], d
+    for d in (1, 2, 5):
+        assert modfib._rank_primes(d) == primes
 
 
 @pytest.fixture

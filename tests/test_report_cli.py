@@ -18,9 +18,11 @@ from fibtower import (
     SweepRow,
     TowerSpec,
     analysis_to_dict,
+    factorize,
     fib,
     parse_json,
     parse_range,
+    pisano_period,
     predicted_residue,
     render_csv,
     render_json,
@@ -332,6 +334,14 @@ def test_cli_fibmod_and_pisano(capsys):
     # 75025 = 5^2 * 3001 and both prime-power parts have period 100
     assert main(["pisano", "75025"]) == 0
     assert capsys.readouterr().out == "100\n"
+
+
+def test_cli_pisano_of_the_square_of_a_13_digit_prime(capsys):
+    # rho's budget ran out on (10^12 + 39)^2 before factorize took a
+    # perfect power by its exact root; Wall's rule gives p * pi(p)
+    p = 10**12 + 39
+    assert main(["pisano", "1000000000078000000001521"]) == 0
+    assert capsys.readouterr().out == f"{p * pisano_period(factorize(p)).value}\n"
 
 
 def test_cli_fibmod_beyond_int_str_digit_limit(capsys):
