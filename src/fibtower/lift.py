@@ -57,19 +57,19 @@ arithmetic again.
 from __future__ import annotations
 
 import threading
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import FibTowerError, LiftBudgetExceeded
 from .fibcore import fib
 from .modfib import factorize, fib_mod, pisano_period
 
 # Lift units one tower may plan. A level of top exponent E is charged
-# E * (b^2 >> 18), b = E * (bits(F_n) + bits(E)) bounding the size of
-# E! F_n^E: the level makes about 6E long products and divisions of
-# numbers up to about that size, or its square. A
-# 2-core x86-64 host (CPython 3.11.7) did 400 000 units a second or more, so
-# an admitted tower takes at most about 2 s.
-LIFT_BUDGET = 800_000
+# E * b^1.75 >> 20, b = E * bits(F_n) the size of F_n^E: the level makes
+# about 6E long products and divisions of numbers up to about that size,
+# or its square. A 2-core x86-64 host (CPython 3.11.7) did 9 700 to
+# 34 000 units a second on towers charged 1 300 to 63 000 units, so an
+# admitted tower takes at most about 2 s.
+LIFT_BUDGET = 21_000
 
 # S_0 -> pi(S_0). Every S_0 divides 24, so this holds at most 8 entries.
 _small_periods: dict[int, int] = {}
@@ -89,8 +89,8 @@ def _coprime_part(s: int, f: int) -> int:
 
 
 def _level_cost(top: int, fn_bits: int) -> int:
-    bits = top * (fn_bits + top.bit_length())
-    return top * max(1, bits * bits >> 18)
+    b = top * fn_bits
+    return max(1, top * b * isqrt(isqrt(b**3)) >> 20)
 
 
 def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], int, int]:

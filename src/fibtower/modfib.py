@@ -56,11 +56,11 @@ prints, rests on p being prime.
 
 tower.analyze certifies the report's chain here and stops where
 factoring F_n does: when factorize_fib or build_chain raises
-FactorBudgetExceeded, the report's chain is empty. analyze takes the
-residue from route 3 (fibtower.lift), and calls tower_residue only when
-route 3 is refused (LiftBudgetExceeded). Route 3 never factors F_n and
-calls fib_mod, pisano_period and factorize here only on small moduli
-coprime to F_n.
+FactorBudgetExceeded, the report's chain is empty. analyze takes every
+residue from route 3 (fibtower.lift) and never calls tower_residue, which
+serves tower_parity_check (mod 8), verify and the tests. Route 3 never
+factors F_n and calls fib_mod, pisano_period and factorize here only on
+small moduli coprime to F_n.
 """
 
 from __future__ import annotations

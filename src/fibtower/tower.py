@@ -5,10 +5,10 @@ x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
 large for k >= 3, so it is never computed here: this module holds the
-spec, the case formula, analyze and the parity check, and takes residues
-from route 3's F_n-adic lift (fibtower.lift), which never factors F_n, or
-from route 1's Pisano chain (fibtower.modfib.tower_residue), which
-analyze also builds for its report.
+spec, the case formula, analyze and the parity check. analyze takes every
+residue from route 3's F_n-adic lift (fibtower.lift), which never factors
+F_n, and builds route 1's Pisano chain only for its report; the parity
+check evaluates that chain (fibtower.modfib.tower_residue) mod 8.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FactorBudgetExceeded, FibTowerError, LiftBudgetExceeded
+from .errors import FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
 from .lift import lift_residue
 from .modfib import build_chain, factorize_fib, tower_residue
@@ -140,20 +140,16 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
-    Two routes:
-
-    - route 3 gives the residue: lift_residue expands the tower
-      F_n-adically without factoring F_n;
-    - the chain route gives the report's chain: factorize_fib factors
-      F_n part by part, each primitive part and each chain period under
-      its own DEFAULT_FACTOR_BUDGET, and build_chain certifies the chain
-      for F_n^(k+m). When that raises FactorBudgetExceeded, naming the
-      first refused part F_d, the chain is empty. A refused part is
-      factored once per process: a multiple of d is refused without
-      factoring it again. The chain is evaluated
-      (modfib.tower_residue) only when route 3 raises LiftBudgetExceeded;
-      when the chain was refused too, LiftBudgetExceeded names both
-      refusals.
+    The residue comes from route 3 alone: lift_residue expands the tower
+    F_n-adically without factoring F_n, and raises LiftBudgetExceeded,
+    which propagates, when its plan is charged past LIFT_BUDGET. Only an
+    admitted spec factors F_n: factorize_fib factors it part by part, each
+    primitive part and each chain period under its own
+    DEFAULT_FACTOR_BUDGET, and build_chain certifies the chain for
+    F_n^(k+m), which fills the report's chain and nothing else. When that
+    raises FactorBudgetExceeded, naming the first refused part F_d, the
+    chain is empty. A refused part is factored once per process: a
+    multiple of d is refused without factoring it again.
     """
     k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
@@ -163,23 +159,17 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     if trivial:
         divisibility_ok, unit, chain_summary = True, 0, ()
     else:
-        try:
-            target = factorize_fib(n).power(k + m)
-            moduli = build_chain(k, target)
-        except FactorBudgetExceeded as exc:
-            refused, chain_summary = exc, ()
-        else:
-            refused, chain_summary = None, tuple(zip(moduli[1:], moduli))
-        try:
-            x = lift_residue(spec, k + m)
-        except LiftBudgetExceeded as exc:
-            if refused is not None:
-                raise LiftBudgetExceeded(f"{refused}; {exc}") from None
-            x = tower_residue(spec, target)
+        x = lift_residue(spec, k + m)
         quotient, rem = divmod(x, fn**expected_valuation)
         # rem != 0 would be a counterexample to a proved divisibility statement
         divisibility_ok = rem == 0
         unit = quotient % fn if divisibility_ok else None
+        try:
+            moduli = build_chain(k, factorize_fib(n).power(k + m))
+        except FactorBudgetExceeded:
+            chain_summary = ()
+        else:
+            chain_summary = tuple(zip(moduli[1:], moduli))
     return AnalysisReport(
         spec=spec,
         fn_value=fn,

@@ -206,12 +206,12 @@ def _feasible_grid_specs(limit: int):
 def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
     """Exact results vs route 3 and the chain engine on every feasible grid spec.
 
-    oracle_unit_agreement tests route 3 through analyze, which takes the
+    oracle_unit_agreement tests route 3 through analyze, which takes every
     residue from it, and lift_agreement calls lift_residue directly; the
     chain route's residue is checked by oracle_probe_agreement, whose
-    probes include F_n^(k+m), the modulus analyze would evaluate the chain
-    at. Raises BudgetExceeded when the index budget admits no grid spec,
-    so that no property passes on zero cases.
+    probes include F_n^(k+m), the modulus route 3 lifts to. Raises
+    BudgetExceeded when the index budget admits no grid spec, so that no
+    property passes on zero cases.
     """
     limit = oracle_budget(max_index)
     specs = list(_feasible_grid_specs(limit))

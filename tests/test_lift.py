@@ -244,52 +244,60 @@ def test_the_memo_under_concurrent_lifts(cold_lift):
     assert len({n for n, _, _ in cold_lift}) == 1
 
 
-def spy_on_the_chain(monkeypatch):
-    """The specs analyze evaluates by the chain, in call order."""
-    evaluated = []
-    chain_residue = tower.tower_residue
-
-    def spy(spec, modulus):
-        evaluated.append(spec)
-        return chain_residue(spec, modulus)
-
-    monkeypatch.setattr(tower, "tower_residue", spy)
-    return evaluated
-
-
-def test_analyze_takes_route_3_first_and_the_chain_route_when_it_is_refused(
-    monkeypatch,
-):
-    # a spec refused by both routes exits 3 naming both budgets:
-    # test_cli_analyze_budget_refusal_names_budget
-    specs = [TowerSpec(3, n, 1) for n in (3, 30, 90, 600)]
+def test_analyze_takes_every_residue_from_route_3(monkeypatch):
+    # the top exponent of (3, 5, 1100) is E = 1103 on the small F_5 = 5
+    specs = [TowerSpec(3, 5, 1100)] + [TowerSpec(3, n, 1) for n in (3, 30, 90, 600)]
 
     def not_evaluated(*args):
-        raise AssertionError("the chain was evaluated while route 3 answers")
+        raise AssertionError("analyze evaluated the chain")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(tower, "tower_residue", not_evaluated)
-        answered = {spec: analyze(spec) for spec in specs}
-    for rep in answered.values():
-        assert rep.match and rep.chain_summary
+    monkeypatch.setattr(tower, "tower_residue", not_evaluated)
+    reports = [analyze(spec) for spec in specs]
+    assert all(rep.match and rep.chain_summary for rep in reports)
+    assert reports[0].exact and len(reports[0].chain_summary) == 3
 
-    evaluated = spy_on_the_chain(monkeypatch)
+    # a refused spec is refused by route 3 alone, before F_n is factored
+    factored = []
+    monkeypatch.setattr(tower, "factorize_fib", factored.append)
     monkeypatch.setattr(lift, "LIFT_BUDGET", 0)
     for spec in specs:
-        assert analyze(spec) == answered[spec]
-    assert evaluated == specs
+        with pytest.raises(LiftBudgetExceeded) as err:
+            analyze(spec)
+        assert str(err.value) == (
+            f"lift budget 0 exceeded at level 1 of 2 lifting {spec} mod "
+            f"F_{spec.n}^{spec.k + spec.m}"
+        )
+    assert factored == []
 
 
-def test_analyze_falls_back_to_the_chain_on_a_real_refusal(monkeypatch):
-    # nothing patched: the top level's E = k + m = 1103 alone passes
-    # LIFT_BUDGET; F_5 = 5 factors, so the chain answers
-    spec = TowerSpec(3, 5, 1100)
-    with pytest.raises(LiftBudgetExceeded, match="at level 1 of 2 "):
-        lift_residue(spec, 1103)
-    evaluated = spy_on_the_chain(monkeypatch)
-    rep = analyze(spec)
-    assert evaluated == [spec]
-    assert rep.match and rep.exact and len(rep.chain_summary) == 3
+@pytest.mark.parametrize(
+    "k, n, m, charge, admitted",
+    [
+        (3, 5, 1100, 3028, True),
+        (2, 90, 300, 8628, True),
+        (30, 1000, 1, 9897, True),
+        (3, 100000, 1, 18622, True),
+        (300, 15, 1, 28207, False),
+        (2, 4001, 40, 29483, False),
+        (3, 500, 200, 116528, False),
+        (1000, 5, 1, 310126, False),
+        (2, 5, 100000, 366740590, False),
+    ],
+)
+def test_lift_charges_a_level_by_the_size_of_f_n_to_the_e(
+    monkeypatch, k, n, m, charge, admitted
+):
+    # the plan alone: _plan does no level arithmetic
+    spec, fn = TowerSpec(k, n, m), fib(n)
+    with monkeypatch.context() as patch:
+        patch.setattr(lift, "LIFT_BUDGET", charge)
+        levels, _, _ = lift._plan(spec, fn, k + m)
+    assert sum(lift._level_cost(top, fn.bit_length()) for *_, top in levels) == charge
+    if admitted:
+        lift._plan(spec, fn, k + m)
+    else:
+        with pytest.raises(LiftBudgetExceeded):
+            lift._plan(spec, fn, k + m)
 
 
 def test_plan_tops_do_not_grow_down_a_tall_tower():

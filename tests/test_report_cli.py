@@ -174,9 +174,12 @@ def test_decimal_to_int_matches_decimal():
 
 
 # F_500 is refused by factoring (rho exhausts its budget on a 33-digit
-# cofactor of its primitive part), so analyze answers it by route 3; at
-# m = 200 route 3 is over its own budget too.
-REFUSED_BY_BOTH = "rho budget 2000000 exhausted on a 33-digit cofactor of F_500; lift budget"
+# cofactor of its primitive part), so analyze answers it by route 3 alone,
+# which at m = 200 is over its own budget.
+REFUSED_BY_ROUTE_3 = (
+    f"lift budget {LIFT_BUDGET} exceeded at level 1 of 2 lifting "
+    "TowerSpec(k=3, n=500, m=200) mod F_500^203"
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +216,7 @@ def test_budget_refusal_csv(over_budget_sweep, route_3_sweep):
 def test_cli_analyze_budget_refusal_names_budget(capsys):
     assert main(["analyze", "3", "500", "200"]) == 3
     err = capsys.readouterr().err
-    assert f"{REFUSED_BY_BOTH} {LIFT_BUDGET} exceeded" in err
+    assert err == f"budget exhausted: {REFUSED_BY_ROUTE_3}\n"
     assert main(["analyze", "3", "500", "1", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["match"] is True and out["chain"] == [] and out["trivial_base"] is False
