@@ -43,8 +43,8 @@ EXIT_BUDGET = 3
 CROSSCHECK_LIMIT = 100_000
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type for integer arguments that may be 0.
+def _integer(text: str, least: int, kind: str) -> int:
+    """An integer argument of at least `least`, for argparse.
 
     Accepts what int() accepts, and decimal digit strings of any length:
     int() refuses more than 4300 digits, decimal_to_int does not.
@@ -53,11 +53,21 @@ def _nonnegative(text: str) -> int:
         value = int(text)
     except ValueError:
         digits = text.strip()
-        value = decimal_to_int(digits) if digits.isascii() and digits.isdigit() else -1
-    if value >= 0:
+        value = decimal_to_int(digits) if digits.isascii() and digits.isdigit() else least - 1
+    if value >= least:
         return value
     shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-    raise argparse.ArgumentTypeError(f"invalid nonnegative integer value: {shown}")
+    raise argparse.ArgumentTypeError(f"invalid {kind} integer value: {shown}")
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for integer arguments that may be 0."""
+    return _integer(text, 0, "nonnegative")
+
+
+def _positive(text: str) -> int:
+    """argparse type for a modulus: 0 and negative values are usage errors."""
+    return _integer(text, 1, "positive")
 
 
 def _range(text: str) -> tuple[int, int]:
@@ -96,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fibmod = sub.add_parser("fibmod", help="Fibonacci number modulo m")
     p_fibmod.set_defaults(run=_cmd_fibmod)
     p_fibmod.add_argument("index", type=_nonnegative)
-    p_fibmod.add_argument("modulus", type=_nonnegative)
+    p_fibmod.add_argument("modulus", type=_positive)
 
     p_pisano = sub.add_parser("pisano", help="Pisano period of a modulus")
     p_pisano.set_defaults(run=_cmd_pisano)
-    p_pisano.add_argument("modulus", type=_nonnegative)
+    p_pisano.add_argument("modulus", type=_positive)
 
     p_analyze = sub.add_parser("analyze", help="analyze one tower spec")
     p_analyze.set_defaults(run=_cmd_analyze)
@@ -144,9 +154,6 @@ def _cmd_fibmod(args) -> int:
 
 def _cmd_pisano(args) -> int:
     m = args.modulus
-    if m < 1:
-        print("modulus must be positive", file=sys.stderr)
-        return EXIT_USAGE
     period = pisano_period(factorize(m)).value
     if m <= CROSSCHECK_LIMIT and period != pisano_period_brute(m):
         print(f"factored/brute disagreement for modulus {m}", file=sys.stderr)

@@ -25,38 +25,51 @@ two parts are joined by the CRT. The level below is then needed mod
 lcm(w, pi(S_0)): w / F^(E-1) is 1, 2 or 4, and a prime of F that it or
 pi(S_0) brings into the next S counts only beyond its power in F^(E-1).
 So E stays put or falls by one per level down the tower, for every n.
-pi(S_0) is the only Pisano period this route takes, always of a small
-number, and factorize, pisano_period and fib_mod are called on S_0 alone:
-the route shares no F_n-sized modulus, period or factorization with the
-chain route.
+S, S_0 and pi(S_0) all divide 24, so a plan's step reads F only through
+its 2- and 3-parts, and its charge only through its bit length: making a
+plan takes no power or lcm of F. pi(S_0) is the only Pisano period this
+route takes, always of a small number, and factorize, pisano_period and
+fib_mod are called on S_0 alone: the route shares no F_n-sized modulus,
+period or factorization with the chain route.
+
+Every plan starts at S*, the fixed point of its own step: the S that a
+level at S* * F^e passes to the level below whenever e >= 3. From S = 1
+the step reaches it within three steps, with no charge: S* is 1 when F
+is even, 2 when F is odd and 3 | F, and 24 when F is prime to 6. S* is
+prime to F, so E = e at every level of a plan to F^(k+m), and level j of
+every tower (k, n, m) is planned, lifted and kept at one modulus,
+S* * F^(j+m), whatever its height k. lift_residue reduces the top level
+mod F^e before it returns.
 
 The whole plan of (S, E) pairs is made before any level arithmetic, and
 lift_residue charges it against LIFT_BUDGET. Each pi(S_0) is taken once
 per process and kept by S_0.
 
-Level j of the plan of (k, n, m) is G(j, n, m), the tower's j-th term,
-mod S * F^e with e >= j + m and S small: the very residue the shorter
-tower (j, n, m) lifted, mod F^(j+m) and less far down. So every lifted
-level is kept in a memo, _lifted, which maps (n, m, j) to
-(M, G(j, n, m) mod M) and holds the towers of one n alone: a level of
-another n empties it before it is stored. A sweep visits its rows n by
-n, so it loses nothing by that. A call still makes and charges
-its whole plan before it reads the memo, so whether it is refused never
-depends on what ran before; it then starts from the highest level whose
-modulus divides a held M, and lifts only the levels above it. A level
-lifted again is merged with the held one by the generalized CRT.
+Every lifted level is kept in a memo, _lifted, which maps (n, m, j) to
+(M, G(j, n, m) mod M), G(j, n, m) being the tower's j-th term, and holds
+the towers of one n alone: a level of another n empties it before it is
+stored. A sweep visits its rows n by n, so it loses nothing by that. A
+call still makes and charges its whole plan before it reads the memo, so
+whether it is refused never depends on what ran before; it then starts
+from the highest level whose modulus divides a held M, and lifts only
+the levels above it. Down a sweep's column with k ascending, each row
+lifts its top level alone; with k descending, the tallest row lifts
+every level and the shorter rows none. A level lifted again, at another
+modulus, is merged with the held one by the generalized CRT.
 
 Five checks can fail, each raising FibTowerError: (-1)^n F'^2 == 1
 (mod F), the exactness of every division of a falling factorial by a_i,
 the invertibility of b_i mod F^(E-1), the coprimality of the CRT parts,
 and the agreement of two lifts of one level mod the gcd of their moduli.
 A level taken from the memo runs none of the checks inside its
-arithmetic again.
+arithmetic again, so they run once per (n, m, j), on the call that first
+lifts the level.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cache
 from math import gcd, isqrt, lcm, prod
 
 from .errors import FibTowerError, LiftBudgetExceeded
@@ -93,40 +106,77 @@ def _level_cost(top: int, fn_bits: int) -> int:
     return max(1, top * b * isqrt(isqrt(b**3)) >> 20)
 
 
+def _two_three_part(f: int) -> int:
+    """The largest divisor of f whose primes are 2 and 3."""
+    part = f & -f
+    f //= part
+    while f % 3 == 0:
+        f //= 3
+        part *= 3
+    return part
+
+
+def _step(s: int, e: int, f23: int, odd: int) -> tuple[int, int, int, int, int]:
+    """A plan's level at S * F^e as (S_0, pi(S_0), E), and the (S, e) of the
+    level below; f23 is the {2, 3}-part of F, and odd is 1 when n is odd.
+
+    S and pi(S_0) divide 24, so the step reads F through f23 alone.
+    """
+    s0 = _coprime_part(s, f23)
+    s_f, c, power = s // s0, 0, 1
+    while power % s_f:
+        power *= f23
+        c += 1
+    top = e + c
+    t0 = _small_periods.get(s0)
+    if t0 is None:
+        t0 = _small_periods.setdefault(s0, pisano_period(factorize(s0)).value)
+    if top < 2:
+        return s0, t0, top, t0, 0
+    # the level below is needed mod lcm(w, t0), and lcm(w, t0) / F^(top-1)
+    # is lcm(r, t0 / gcd(t0, F^(top-1))) with r = w / F^(top-1) a power of
+    # 2: v_2(w) = max(1 + max(odd, v_2(F^(top-2))), v_2(F^(top-1))). The
+    # lcm, not a product, keeps E from growing (see the module docstring).
+    v2 = (f23 & -f23).bit_length() - 1
+    r = 1 << max(0, 1 + max(odd, v2 * (top - 2)) - v2 * (top - 1))
+    return s0, t0, top, lcm(r, t0 // gcd(t0, pow(f23, top - 1, t0))), top - 1
+
+
+@cache
+def _fixed_point(f23: int, odd: int) -> int:
+    """S*, the S that a level at S* * F^e passes to the level below for
+    every e >= 3. Reached from S = 1 within three steps: 1, 2 or 24."""
+    s = 1
+    while True:
+        below = _step(s, 3, f23, odd)[3]
+        if below == s:
+            return s
+        s = below
+
+
 def _plan(spec, fn: int, e: int) -> tuple[list[tuple[int, int, int, int, int]], int, int]:
     """Levels k down to 2 as (S, e, S_0, pi(S_0), E), and the modulus
     S * F^e of level 1.
 
-    Charged level by level against LIFT_BUDGET, so a refused plan stops
-    as soon as it passes the budget.
+    The plan starts at S*, so level j of every tower (k, n, m) with e =
+    k + m sits at S* * F^(j+m) for every height k. It reads F only through
+    its 2- and 3-parts, and its size for the charge: no power or lcm of F
+    is taken. Charged level by level against LIFT_BUDGET, so a refused plan
+    stops as soon as it passes the budget.
     """
+    f23, odd = _two_three_part(fn), spec.n % 2
     levels = []
-    s, charge, fn_bits, target = 1, 0, fn.bit_length(), e
+    s, charge, fn_bits, target = _fixed_point(f23, odd), 0, fn.bit_length(), e
     for _ in range(spec.k - 1):
-        s0 = _coprime_part(s, fn)
-        s_f, c, power = s // s0, 0, 1
-        while power % s_f:
-            power *= fn
-            c += 1
-        top = e + c
+        s0, t0, top, below, e_below = _step(s, e, f23, odd)
         charge += _level_cost(top, fn_bits)
         if charge > LIFT_BUDGET:
             raise LiftBudgetExceeded(
                 f"lift budget {LIFT_BUDGET} exceeded at level {len(levels) + 1} "
                 f"of {spec.k - 1} lifting {spec} mod F_{spec.n}^{target}"
             )
-        t0 = _small_periods.get(s0)
-        if t0 is None:
-            t0 = _small_periods.setdefault(s0, pisano_period(factorize(s0)).value)
         levels.append((s, e, s0, t0, top))
-        if top >= 2:
-            # w is what _multiple_residue needs of x; the lcm, not a
-            # product, keeps E from growing (see the module docstring)
-            low = fn ** (top - 1)
-            w = lcm(2 * lcm(2 if spec.n % 2 else 1, low // fn), low)
-            s, e = lcm(w, t0) // low, top - 1
-        else:
-            s, e = t0, 0
+        s, e = below, e_below
     return levels, s, e
 
 
@@ -237,7 +287,8 @@ def lift_residue(spec, e: int) -> int:
     charge passes LIFT_BUDGET, and FibTowerError when a check fails. The
     whole plan is made and charged whatever _lifted holds; the lift then
     starts from the highest level that _lifted holds mod a multiple of the
-    level's modulus, and merges each level it lifts into _lifted.
+    level's modulus, and merges each level it lifts into _lifted. The top
+    level is lifted mod S* * F^e and reduced mod F^e.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -275,4 +326,4 @@ def lift_residue(spec, e: int) -> int:
         y %= modulus
         x = y + modulus * ((y0 - y) * inverse % s0)
         _keep(spec, k - i, moduli[i], x)
-    return x
+    return x % fn**e

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from itertools import product
@@ -126,6 +125,10 @@ def run_sweep(
     # a fork-started pool forks all its workers at the first submit
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that importing fibtower loads neither
+        # concurrent.futures nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(points) // (workers * 4))
             rows = tuple(pool.map(_evaluate_point, points, chunksize=chunk))

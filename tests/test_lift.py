@@ -163,22 +163,71 @@ def test_a_sweep_column_lifted_warm_equals_it_lifted_cold(cold_lift, monkeypatch
     # each row is lifted once on the memo its earlier rows left, and once
     # on an empty one
     lifted = count_lifted_levels(monkeypatch)
+    specs = [TowerSpec(k, n, m) for k in range(2, 9) for m in range(1, 4)]
+    residues = {}
     warm_levels = cold_levels = 0
-    for k in range(2, 9):
-        for m in range(1, 4):
-            spec = TowerSpec(k, n, m)
-            del lifted[:]
-            warm = lift_residue(spec, k + m)
-            warm_levels += len(lifted)
-            held = dict(cold_lift)
-            cold_lift.clear()
-            del lifted[:]
-            assert lift_residue(spec, k + m) == warm, spec
-            cold_levels += len(lifted)
-            cold_lift.clear()
-            cold_lift.update(held)
+    for spec in specs:
+        e = spec.k + spec.m
+        del lifted[:]
+        residues[spec] = lift_residue(spec, e)
+        warm_levels += len(lifted)
+        held = dict(cold_lift)
+        cold_lift.clear()
+        del lifted[:]
+        assert lift_residue(spec, e) == residues[spec], spec
+        cold_levels += len(lifted)
+        cold_lift.clear()
+        cold_lift.update(held)
     assert cold_levels == 3 * sum(range(1, 8))
-    assert warm_levels < cold_levels
+    # level j sits at one modulus for every height, so a warm row lifts its
+    # top level alone: one level per (n, m, j)
+    assert warm_levels == 21
+    # k descending: each tallest row lifts all 7 of its levels, and every
+    # shorter row finds its own top level held
+    cold_lift.clear()
+    del lifted[:]
+    for spec in reversed(specs):
+        assert lift_residue(spec, spec.k + spec.m) == residues[spec], spec
+    assert len(lifted) == 21
+
+
+def other_with_the_same_2_3_parts_and_size(fn):
+    """A number other than fn with fn's 2- and 3-parts and bit length, or
+    None when fn is the only one."""
+    part = fn & -fn
+    rest = fn // part
+    while rest % 3 == 0:
+        rest //= 3
+        part *= 3
+    bits = fn.bit_length()
+    lowest = -(-(1 << (bits - 1)) // part)
+    for other in range(((1 << bits) - 1) // part, lowest - 1, -1):
+        if other % 6 in (1, 5) and other != rest:
+            return part * other
+    return None
+
+
+def test_level_j_sits_at_one_modulus_for_every_height(monkeypatch):
+    # n = 3..50 meets every class of n mod 24; towers of F_100000 this tall
+    # are refused, and the plan is made beyond the budget here
+    monkeypatch.setattr(lift, "LIFT_BUDGET", 10**15)
+    for n in [*range(3, 51), 100_000]:
+        fn = fib(n)
+        other = other_with_the_same_2_3_parts_and_size(fn)
+        for m in (1, 2, 3):
+            at = {}
+            for k in range(2, 13):
+                spec = TowerSpec(k, n, m)
+                plan = lift._plan(spec, fn, k + m)
+                for i, (s, e, *_) in enumerate(plan[0]):
+                    at.setdefault(k - i, set()).add((s, e))
+                # the plan reads F_n through its 2- and 3-parts alone, and
+                # the charge its bit length, which other shares as well
+                if other is not None:
+                    assert lift._plan(spec, other, k + m) == plan, (spec, other)
+            s_star = plan[0][0][0]
+            assert s_star in (1, 2, 24), (n, m)
+            assert at == {j: {(s_star, j + m)} for j in range(2, 13)}, (n, m)
 
 
 def test_a_warm_lift_still_charges_the_whole_plan(cold_lift, monkeypatch):

@@ -1,5 +1,6 @@
 """Sweep reports (JSON/CSV) and the command-line interface."""
 
+import concurrent.futures
 import errno
 import hashlib
 import json
@@ -266,7 +267,8 @@ def test_sweep_pool_never_outgrows_points_or_cpus(monkeypatch):
             pools.append((self.max_workers, chunksize))
             return map(fn, items)
 
-    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class only when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     one_point = ((2, 2), (3, 3), (1, 1))
     assert run_sweep(*one_point, jobs=64) == run_sweep(*one_point)
@@ -360,8 +362,15 @@ def test_cli_usage_errors(capsys):
     assert main(["fib"]) == 2
     assert main(["fib", "-5"]) == 2
     assert main(["nope"]) == 2
-    assert main(["fibmod", "3", "0"]) == 2
-    assert main(["pisano", "0"]) == 2
+    capsys.readouterr()
+    # a modulus of 0 or below takes one path and one message, in both commands
+    for argv in (["fibmod", "3", "0"], ["fibmod", "3", "-5"], ["pisano", "0"], ["pisano", "-5"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"fibtower {argv[0]}: error: argument modulus: "
+            f"invalid positive integer value: {argv[-1]!r}"
+        )
     assert main(["analyze", "0", "5", "1"]) == 2
     capsys.readouterr()
 
