@@ -66,7 +66,8 @@ def _nonnegative(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type for a modulus: 0 and negative values are usage errors."""
+    """argparse type for integer arguments of at least 1: 0 and negative
+    values are usage errors."""
     return _integer(text, 1, "positive")
 
 
@@ -114,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze one tower spec")
     p_analyze.set_defaults(run=_cmd_analyze)
-    p_analyze.add_argument("k", type=_nonnegative)
-    p_analyze.add_argument("n", type=_nonnegative)
-    p_analyze.add_argument("m", type=_nonnegative)
+    p_analyze.add_argument("k", type=_positive)
+    p_analyze.add_argument("n", type=_positive)
+    p_analyze.add_argument("m", type=_positive)
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
 
     p_sweep = sub.add_parser("sweep", help="analyze a parameter grid")

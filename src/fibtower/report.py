@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, modfib
 from .errors import BudgetExceeded
@@ -147,9 +148,12 @@ def run_sweep(
 # ------------------------------ serialization ------------------------------
 
 
-# Decimal's int<->str conversions are exempt from sys.get_int_max_str_digits(),
-# which by default refuses ints of more than 4300 digits; chain moduli such
-# as F_90^302 have thousands.
+# A JSON report is laid out as json.dumps(payload, indent=2, sort_keys=True)
+# lays it out, byte for byte, but each row is made by json's C encoder (see
+# render_json). Every int is written as a decimal string by _dec: str() below
+# 2000 bits, Decimal above, whose int<->str conversions are exempt from
+# sys.get_int_max_str_digits(); that limit by default refuses ints of more
+# than 4300 digits, and chain moduli such as F_90^302 have thousands.
 
 # Ints up to this many bits convert by Decimal(int) directly; above it,
 # splitting stops gaining.
@@ -228,8 +232,17 @@ def decimal_to_int(text: str) -> int:
     return join(0, len(text))
 
 
+# str() of an int of at most this many bits (603 digits) stays below 640
+# digits, the least limit sys.set_int_max_str_digits() accepts, so no setting
+# makes it raise; on the small ints of a row it is 3x faster than
+# str(Decimal(int)).
+_STR_BITS = 2000
+
+
 def _dec(value: int) -> str:
     """Decimal string of a nonnegative int of any length."""
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
     return str(int_to_decimal(value))
 
 
@@ -309,7 +322,48 @@ def _summary_dict(report: SweepReport) -> dict:
     }
 
 
+# CPython 3.11 and older run json.dumps(indent=2) in pure Python, whatever
+# the payload. A row is a flat dict but for its chain, so the C encoder lays it
+# out (indent None, its item separator putting each key on a line of its
+# own at the row's depth), and a non-empty chain, laid out at its own depth,
+# is spliced in where a NUL placeholder was encoded: no field holds a NUL.
+# The rows are spliced into the small outer payload the same way.
+_PLACEHOLDER = "\0"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _chain_json(levels: list[dict[str, str]]) -> str:
+    """A non-empty chain as json.dumps(indent=2, sort_keys=True) lays it out
+    under a row's key; its levels hold the keys _chain writes, in sorted order."""
+    return (
+        "["
+        + ",".join(
+            '\n        {\n          "modulus": '
+            + encode_basestring_ascii(level["modulus"])
+            + ',\n          "period": '
+            + encode_basestring_ascii(level["period"])
+            + "\n        }"
+            for level in levels
+        )
+        + "\n      ]"
+    )
+
+
+def _row_json(row: SweepRow) -> str:
+    d = _row_dict(row)
+    chain = d["chain"]
+    if chain:
+        d["chain"] = _PLACEHOLDER
+    body = _ROW_ENCODER.encode(d)
+    if chain:
+        body = body.replace(_PLACEHOLDER_JSON, _chain_json(chain), 1)
+    return "{\n      " + body[1:-1] + "\n    }"
+
+
 def render_json(report: SweepReport) -> str:
+    """The report as json.dumps(payload, indent=2, sort_keys=True) + "\\n"
+    gives it, byte for byte; every row is laid out by json's C encoder."""
     payload = {
         "tool_version": report.tool_version,
         "seed": _dec(report.seed),
@@ -318,10 +372,14 @@ def render_json(report: SweepReport) -> str:
             "n": [_dec(report.n_range[0]), _dec(report.n_range[1])],
             "m": [_dec(report.m_range[0]), _dec(report.m_range[1])],
         },
-        "rows": [_row_dict(r) for r in report.rows],
+        "rows": _PLACEHOLDER,
         "summary": _summary_dict(report),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = "[]"
+    if report.rows:
+        rows = "[\n    " + ",\n    ".join(map(_row_json, report.rows)) + "\n  ]"
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    return text.replace(_PLACEHOLDER_JSON, rows, 1) + "\n"
 
 
 def _parse_row(obj: dict) -> SweepRow:

@@ -29,7 +29,7 @@ from fibtower import (
     render_json,
     run_sweep,
 )
-from fibtower import FibTowerError, cli, report, verify
+from fibtower import FibTowerError, cli, modfib, report, verify
 from fibtower.cli import main
 
 
@@ -95,6 +95,65 @@ def test_json_roundtrip_rejects_a_flag_that_is_not_a_boolean(key):
         parse_json(json.dumps(payload))
 
 
+def _dumps_layout(rep: SweepReport) -> str:
+    """render_json's payload, from the same _row_dicts, laid out by json.dumps."""
+    ranges = {"k": rep.k_range, "n": rep.n_range, "m": rep.m_range}
+    payload = {
+        "tool_version": rep.tool_version,
+        "seed": report._dec(rep.seed),
+        "grid": {axis: [report._dec(lo), report._dec(hi)] for axis, (lo, hi) in ranges.items()},
+        "rows": [report._row_dict(row) for row in rep.rows],
+        "summary": report._summary_dict(rep),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_json_is_json_dumps_layout():
+    # k = 1 rows and n <= 2 rows with their trivial bases
+    rep = run_sweep((1, 3), (1, 12), (1, 2))
+    assert {row.spec.k for row in rep.rows if row.report.trivial_base} >= {1, 2, 3}
+    assert render_json(rep) == _dumps_layout(rep)
+    # rows route 3 refuses at once: null under every analysis key
+    rep = run_sweep((2, 3), (500, 500), (200, 200))
+    assert [row.status for row in rep.rows] == ["budget_exceeded"] * 2
+    assert render_json(rep) == _dumps_layout(rep)
+    # chains of depth 12
+    rep = run_sweep((12, 12), (3, 14), (1, 2))
+    assert max(len(row.report.chain_summary) for row in rep.rows) == 12
+    assert render_json(rep) == _dumps_layout(rep)
+    # a report without rows
+    empty = SweepReport("0.1.0", 1, (2, 2), (3, 3), (1, 1), rows=())
+    assert render_json(empty) == _dumps_layout(empty)
+
+
+def test_render_json_layout_of_an_empty_chain(cold_links, monkeypatch):
+    # with rho cut to 10 steps, F_91 and F_97 are refused by factoring, so
+    # route 3 answers their rows with no chain; F_90 ... F_96 factor
+    monkeypatch.setattr(modfib, "DEFAULT_FACTOR_BUDGET", 10)
+    rep = run_sweep((2, 3), (90, 97), (1, 2))
+    chains = {row.spec.n: row.report.chain_summary for row in rep.rows}
+    assert chains[91] == chains[97] == () and chains[90]
+    assert render_json(rep) == _dumps_layout(rep)
+
+
+def test_dec_matches_int_to_decimal_across_the_str_threshold():
+    # 10^640 has 641 digits, one more than str() gives under the least limit
+    values = [2**1999 - 1, 2**1999, 2**2000 - 1, 2**2000, 2**2001 - 1, 10**640]
+    assert [v.bit_length() for v in values] == [1999, 2000, 2000, 2001, 2001, 2127]
+    want = [str(report.int_to_decimal(v)) for v in values]
+    assert [report._dec(v) for v in values] == want
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return  # CPython before 3.10.7 has no digit limit
+    # 640 digits is the least limit CPython accepts; str() serves 2000 bits
+    # (603 digits) under it, and Decimal the rest
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [report._dec(v) for v in values] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_csv_layout():
     report = run_sweep((2, 2), (4, 4), (1, 1))
     text = render_csv(report)
@@ -145,6 +204,7 @@ def test_reports_beyond_int_str_digit_limit():
         rows=(SweepRow(spec=spec, report=analysis),),
     )
     text = render_json(report)
+    assert text == _dumps_layout(report)
     assert parse_json(text) == report
     assert json.loads(text)["rows"][0]["chain"][1]["modulus"] == modulus_text
     assert analysis_to_dict(analysis)["chain"][1]["modulus"] == modulus_text
@@ -371,8 +431,17 @@ def test_cli_usage_errors(capsys):
             f"fibtower {argv[0]}: error: argument modulus: "
             f"invalid positive integer value: {argv[-1]!r}"
         )
-    assert main(["analyze", "0", "5", "1"]) == 2
-    capsys.readouterr()
+    # so is a k, n or m of 0 or below
+    for position, name in enumerate("knm"):
+        for bad in ("0", "-1"):
+            argv = ["analyze", "3", "5", "1"]
+            argv[1 + position] = bad
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == (
+                f"fibtower analyze: error: argument {name}: "
+                f"invalid positive integer value: {bad!r}"
+            )
 
 
 def test_cli_integer_argument_message(capsys):
