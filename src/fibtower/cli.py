@@ -197,8 +197,8 @@ def _cmd_sweep(args) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.write(text)
-    counts = report.summary()["status"]
-    return EXIT_MISMATCH if counts.get(STATUS_MISMATCH) else EXIT_OK
+    mismatch = any(row.status == STATUS_MISMATCH for row in report.rows)
+    return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -109,21 +109,26 @@ def oracle_eval(spec: TowerSpec, max_index: int | None = None) -> OracleResult:
             unit_residue=0,
             quotient_residue=0,
         )
-    v = 0
-    cof = value
-    while cof % fn == 0:
-        cof //= fn
+    # One divmod per factor of F_n: at v == lead the cofactor is
+    # value / F_n^lead, so its remainder is the quotient residue, and the
+    # first nonzero remainder is the unit residue.
+    v, cof = 0, value
+    while True:
+        cof, rem = divmod(cof, fn)
+        if v == lead:
+            quotient = rem
+        if rem:
+            break
         v += 1
     if v < lead:
         raise FibTowerError(
             f"valuation {v} below {lead} for {spec}; counterexample to divisibility"
         )
-    quotient = (value // fn**lead) % fn
     return OracleResult(
         spec=spec,
         value=value,
         top_index=top,
         valuation=v,
-        unit_residue=cof % fn,
+        unit_residue=rem,
         quotient_residue=quotient,
     )

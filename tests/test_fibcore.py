@@ -1,5 +1,7 @@
 """Exact Fibonacci core: examples and identity properties."""
 
+import math
+import random
 from math import gcd
 
 import pytest
@@ -16,7 +18,8 @@ from fibtower import (
     square_congruence_check,
     valuation,
 )
-from fibtower.fibcore import _fib_pair, fib_exceeds
+from fibtower import fibcore
+from fibtower.fibcore import _TOOM_BITS, _TOOM_INDEX, _fib_pair, _lucas_pair, _mul, fib_exceeds
 from fibtower.modfib import fib_pair_mod
 
 # naive recurrence, kept in the test as the independent route
@@ -58,6 +61,82 @@ def test_fib_pair_satisfies_cassini_exactly():
         i = 10**5 + r
         a, b = _fib_pair(i)  # (F_i, F_{i+1}), and F_{i-1} = F_{i+1} - F_i
         assert b * (b - a) - a * a == (-1) ** i, i
+
+
+def _toom_operands():
+    """Operands at, just off and well past the Toom threshold, with limbs
+    of all ones, all zeros and random bits."""
+    rng = random.Random(30)
+    t = _TOOM_BITS
+    for bits in (t - 1, t, t + 1, 3 * t, 10 * t):
+        yield rng.getrandbits(bits) | 1 << (bits - 1)
+        yield 2**bits - 1  # every limb all ones
+        yield 2**bits + 1  # zero middle limb
+        yield 2 ** (bits - 1)  # zero low limbs
+
+
+def test_toom_product_matches_native_for_every_size_and_sign():
+    operands = list(_toom_operands())
+    for a in operands:
+        for b in operands:
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                assert _mul(sa * a, sb * b) == sa * a * sb * b, (a.bit_length(), b.bit_length())
+
+
+def test_toom_square_when_both_operands_are_one_object():
+    for a in _toom_operands():
+        for x in (a, -a):
+            assert _mul(x, x) == x * x, x.bit_length()
+
+
+def test_toom_product_with_a_small_or_zero_operand():
+    big = random.Random(7).getrandbits(10 * _TOOM_BITS)
+    for small in (0, 1, -1, 3, 2**64 + 1, -(2 ** (_TOOM_BITS - 1) - 1)):
+        assert _mul(small, big) == small * big
+        assert _mul(big, small) == big * small
+        assert _mul(-big, small) == -big * small
+
+
+def test_toom_product_of_seeded_random_operands():
+    rng = random.Random(2007)
+    for _ in range(40):
+        a = rng.getrandbits(rng.randrange(_TOOM_BITS, 12 * _TOOM_BITS))
+        b = rng.getrandbits(rng.randrange(_TOOM_BITS, 12 * _TOOM_BITS))
+        a, b = rng.choice((a, -a)), rng.choice((b, -b))
+        assert _mul(a, b) == a * b
+        assert _mul(a, a) == a * a
+
+
+def test_ladder_reaches_toom_only_past_the_index_gate(monkeypatch):
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(min(a.bit_length(), b.bit_length()))
+        return a * b
+
+    monkeypatch.setattr(fibcore, "_mul", spy)
+    _lucas_pair(_TOOM_INDEX - 1)
+    assert sizes == []
+    _lucas_pair(4 * _TOOM_INDEX + 3)
+    assert len(sizes) == 4  # a product and a square on each of the last two bits
+    assert min(sizes) >= _TOOM_BITS * 99 // 100
+
+
+@pytest.mark.parametrize("i", [200_001, 1_000_003, 1_989_806])
+def test_fib_with_toom_matches_the_native_ladder(i, monkeypatch):
+    deep = []
+
+    def spy(a, b):
+        if min(a.bit_length(), b.bit_length()) >= _TOOM_BITS:
+            deep.append(a.bit_length())
+        return _mul(a, b)
+
+    monkeypatch.setattr(fibcore, "_mul", spy)
+    value = fib(i)
+    assert deep  # the products above really split
+    monkeypatch.setattr(fibcore, "_mul", _mul)
+    monkeypatch.setattr(fibcore, "_TOOM_BITS", math.inf)
+    assert value == fib(i)
 
 
 def test_fib_budget():

@@ -113,3 +113,30 @@ def test_oracle_agrees_with_chain_engine_small():
         assert res.valuation >= rep.expected_valuation
         for probe in (7, 8, 97):
             assert tower_residue(spec, probe) == res.value % probe, (spec, probe)
+
+
+def test_oracle_residues_match_a_second_division_on_a_grid():
+    # n = 3 gives v > lead, so the quotient residue is read at a step before
+    # the cofactor's last division; n = 6 gives v == lead, as F_{6*8^m} has
+    # exactly 3m + 3 factors of 2
+    deeper = []
+    for n in range(1, 13):
+        for k in range(1, 5):
+            for m in range(1, 4):
+                spec = TowerSpec(k, n, m)
+                if not oracle_feasible(spec):
+                    continue
+                res = oracle_eval(spec)
+                fn = fib(n)
+                if fn == 1:
+                    assert res.valuation is None
+                    continue
+                lead = k + m - 1
+                assert res.quotient_residue == (res.value // fn**lead) % fn, spec
+                cof, v = res.value, 0
+                while cof % fn == 0:
+                    cof, v = cof // fn, v + 1
+                assert (res.valuation, res.unit_residue) == (v, cof % fn), spec
+                if v > lead:
+                    deeper.append(n)
+    assert set(deeper) == {3}

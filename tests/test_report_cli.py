@@ -1,6 +1,7 @@
 """Sweep reports (JSON/CSV) and the command-line interface."""
 
 import concurrent.futures
+import dataclasses
 import errno
 import hashlib
 import json
@@ -504,6 +505,32 @@ def test_cli_sweep_maps_a_failed_check_to_exit_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "check failed: period check failed at 3\n"
     assert captured.out == ""
+
+
+def test_cli_sweep_exit_code_reads_row_status_once(monkeypatch, capsys):
+    # the exit code comes from the rows' status; the tallies, with a branch
+    # label per row, are taken once, for the report's summary
+    real_analyze, real_label = report.analyze, report.branch_label
+    labels = []
+
+    def counting_label(spec):
+        labels.append(spec)
+        return real_label(spec)
+
+    def mismatch_at_n_4(spec):
+        rep = real_analyze(spec)
+        return dataclasses.replace(rep, match=False) if spec.n == 4 else rep
+
+    monkeypatch.setattr(report, "branch_label", counting_label)
+    argv = ["sweep", "--k", "2..2", "--n", "3..5", "--m", "1..1"]
+    assert main(argv) == 0
+    assert len(labels) == 3
+    assert json.loads(capsys.readouterr().out)["summary"]["status"] == {"ok": "3"}
+    monkeypatch.setattr(report, "analyze", mismatch_at_n_4)
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["summary"]["status"] == {"mismatch": "1", "ok": "2"}
+    assert len(labels) == 6
 
 
 def test_cli_analyze_human(capsys):
