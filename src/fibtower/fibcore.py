@@ -35,8 +35,9 @@ DEFAULT_MAX_FIB_INDEX = 50_000_000
 # on the oracle's ladders to F_2000000 (2-core x86-64, CPython 3.11): 15 000
 # to 20 000 bits ran fastest, 10 000 and 40 000 about 2 % slower.
 _TOOM_BITS = 20_000
-# Ladder indices below this never reach _mul: L_k has about 0.694 k bits
-# (log2 of the golden ratio), so F_k and L_k stay below _TOOM_BITS.
+# A doubling step from an index of at least this much goes through _mul:
+# L_k has about 0.694 k bits (log2 of the golden ratio), so below it F_k
+# and L_k have fewer than _TOOM_BITS bits.
 _TOOM_INDEX = _TOOM_BITS * 10_000 // 6_943
 
 
@@ -89,21 +90,24 @@ def _mul(a: int, b: int) -> int:
 def _lucas_pair(k: int) -> tuple[int, int]:
     """(F_k, L_k) by doubling over the Lucas pair, no budget check.
 
-    Each bit takes one product and one square. The bits read once the
-    prefix of k has reached _TOOM_INDEX run a second copy of the loop, whose
-    product and square go through _mul; the first copy has no extra call or
-    test per bit.
+    Each bit takes one product and one square. Once the prefix of k being
+    doubled reaches _TOOM_INDEX, the remaining bits run a second copy of
+    the loop whose product and square go through _mul; below that, the
+    ladder pays one comparison per call and nothing per bit.
     """
+    if k >> 1 >= _TOOM_INDEX:
+        steps = (k // _TOOM_INDEX).bit_length() - 1
+        f, l = _lucas_pair(k >> steps)
+        odd = k >> steps & 1
+        for bit in bin(k)[-steps:]:
+            f, l = _mul(f, l), _mul(l, l) + (2 if odd else -2)
+            odd = bit == "1"
+            if odd:
+                f, l = (f + l) >> 1, (5 * f + l) >> 1
+        return f, l
     f, l, odd = 0, 2, False  # F_0, L_0, k odd
-    bits = bin(k)[2:]
-    cut = len(bits) - max(0, (k // _TOOM_INDEX).bit_length() - 1)
-    for bit in bits[:cut]:
+    for bit in bin(k)[2:]:
         f, l = f * l, l * l + (2 if odd else -2)
-        odd = bit == "1"
-        if odd:
-            f, l = (f + l) >> 1, (5 * f + l) >> 1
-    for bit in bits[cut:]:
-        f, l = _mul(f, l), _mul(l, l) + (2 if odd else -2)
         odd = bit == "1"
         if odd:
             f, l = (f + l) >> 1, (5 * f + l) >> 1
@@ -113,10 +117,12 @@ def _lucas_pair(k: int) -> tuple[int, int]:
 def _fib(i: int) -> int:
     """F_i with one product above the ladder to k = i >> 1, no budget check.
 
-    The product goes through _mul, which is native * below _TOOM_BITS.
+    Past _TOOM_INDEX the product goes through _mul.
     """
     k = i >> 1
     f, l = _lucas_pair(k)
+    if k < _TOOM_INDEX:
+        return f * l if not i & 1 else l * ((f + l) >> 1) - (-1 if k & 1 else 1)
     if not i & 1:
         return _mul(f, l)
     return _mul(l, (f + l) >> 1) - (-1 if k & 1 else 1)

@@ -107,6 +107,17 @@ def test_toom_product_of_seeded_random_operands():
         assert _mul(a, a) == a * a
 
 
+def _lucas_pair_native(k):
+    """(F_k, L_k) by the same doubling, every product native."""
+    f, l, odd = 0, 2, False
+    for bit in bin(k)[2:]:
+        f, l = f * l, l * l + (2 if odd else -2)
+        odd = bit == "1"
+        if odd:
+            f, l = (f + l) >> 1, (5 * f + l) >> 1
+    return f, l
+
+
 def test_ladder_reaches_toom_only_past_the_index_gate(monkeypatch):
     sizes = []
 
@@ -115,10 +126,13 @@ def test_ladder_reaches_toom_only_past_the_index_gate(monkeypatch):
         return a * b
 
     monkeypatch.setattr(fibcore, "_mul", spy)
-    _lucas_pair(_TOOM_INDEX - 1)
-    assert sizes == []
-    _lucas_pair(4 * _TOOM_INDEX + 3)
-    assert len(sizes) == 4  # a product and a square on each of the last two bits
+    assert _lucas_pair(2 * _TOOM_INDEX - 1) == _lucas_pair_native(2 * _TOOM_INDEX - 1)
+    assert sizes == []  # its last step doubles _TOOM_INDEX - 1
+    assert _lucas_pair(2 * _TOOM_INDEX) == _lucas_pair_native(2 * _TOOM_INDEX)
+    assert len(sizes) == 2  # a product and a square on the last bit
+    k = 4 * _TOOM_INDEX + 3
+    assert _lucas_pair(k) == _lucas_pair_native(k)
+    assert len(sizes) == 6  # and on each of the last two bits
     assert min(sizes) >= _TOOM_BITS * 99 // 100
 
 
