@@ -23,6 +23,7 @@ never reach it.
 
 from __future__ import annotations
 
+import operator
 from math import comb, gcd
 
 from .errors import BudgetExceeded
@@ -121,11 +122,10 @@ def _fib(i: int) -> int:
     """
     k = i >> 1
     f, l = _lucas_pair(k)
-    if k < _TOOM_INDEX:
-        return f * l if not i & 1 else l * ((f + l) >> 1) - (-1 if k & 1 else 1)
+    mul = _mul if k >= _TOOM_INDEX else operator.mul
     if not i & 1:
-        return _mul(f, l)
-    return _mul(l, (f + l) >> 1) - (-1 if k & 1 else 1)
+        return mul(f, l)
+    return mul(l, (f + l) >> 1) - (-1 if k & 1 else 1)
 
 
 def _fib_pair(i: int) -> tuple[int, int]:
