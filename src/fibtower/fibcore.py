@@ -17,13 +17,13 @@ F_k+1 = (F_k + L_k) / 2.
 CPython multiplies big integers by Karatsuba. Past _TOOM_BITS the ladder's
 products and squares, and the final product, go through _mul, a Toom-3
 product (Toom 1963, Cook 1966) that cuts each operand in three and
-recurses on five products of a third the size. Indices below _TOOM_INDEX
-never reach it.
+recurses on five products of a third the size, and falls back to native *
+below _TOOM_BITS. The ladder's loop calls it only once k >> 1 reaches
+_TOOM_INDEX, so small indices pay no call per bit.
 """
 
 from __future__ import annotations
 
-import operator
 from math import comb, gcd
 
 from .errors import BudgetExceeded
@@ -36,9 +36,9 @@ DEFAULT_MAX_FIB_INDEX = 50_000_000
 # on the oracle's ladders to F_2000000 (2-core x86-64, CPython 3.11): 15 000
 # to 20 000 bits ran fastest, 10 000 and 40 000 about 2 % slower.
 _TOOM_BITS = 20_000
-# A doubling step from an index of at least this much goes through _mul:
-# L_k has about 0.694 k bits (log2 of the golden ratio), so below it F_k
-# and L_k have fewer than _TOOM_BITS bits.
+# A ladder whose last doubling starts from an index of at least this much
+# goes through _mul: L_k has about 0.694 k bits (log2 of the golden ratio),
+# so below it F_k and L_k have fewer than _TOOM_BITS bits.
 _TOOM_INDEX = _TOOM_BITS * 10_000 // 6_943
 
 
@@ -91,22 +91,19 @@ def _mul(a: int, b: int) -> int:
 def _lucas_pair(k: int) -> tuple[int, int]:
     """(F_k, L_k) by doubling over the Lucas pair, no budget check.
 
-    Each bit takes one product and one square. Once the prefix of k being
-    doubled reaches _TOOM_INDEX, the remaining bits run a second copy of
-    the loop whose product and square go through _mul; below that, the
-    ladder pays one comparison per call and nothing per bit.
+    Each bit takes one product and one square. Once k >> 1 reaches
+    _TOOM_INDEX, the loop takes them through _mul, which keeps native *
+    for the low bits; below that, the ladder pays one comparison per call
+    and nothing per bit.
     """
+    f, l, odd = 0, 2, False  # F_0, L_0, k odd
     if k >> 1 >= _TOOM_INDEX:
-        steps = (k // _TOOM_INDEX).bit_length() - 1
-        f, l = _lucas_pair(k >> steps)
-        odd = k >> steps & 1
-        for bit in bin(k)[-steps:]:
+        for bit in bin(k)[2:]:
             f, l = _mul(f, l), _mul(l, l) + (2 if odd else -2)
             odd = bit == "1"
             if odd:
                 f, l = (f + l) >> 1, (5 * f + l) >> 1
         return f, l
-    f, l, odd = 0, 2, False  # F_0, L_0, k odd
     for bit in bin(k)[2:]:
         f, l = f * l, l * l + (2 if odd else -2)
         odd = bit == "1"
@@ -116,16 +113,13 @@ def _lucas_pair(k: int) -> tuple[int, int]:
 
 
 def _fib(i: int) -> int:
-    """F_i with one product above the ladder to k = i >> 1, no budget check.
-
-    Past _TOOM_INDEX the product goes through _mul.
-    """
+    """F_i with one product, through _mul, above the ladder to k = i >> 1;
+    no budget check."""
     k = i >> 1
     f, l = _lucas_pair(k)
-    mul = _mul if k >= _TOOM_INDEX else operator.mul
     if not i & 1:
-        return mul(f, l)
-    return mul(l, (f + l) >> 1) - (-1 if k & 1 else 1)
+        return _mul(f, l)
+    return _mul(l, (f + l) >> 1) - (-1 if k & 1 else 1)
 
 
 def _fib_pair(i: int) -> tuple[int, int]:

@@ -135,12 +135,14 @@ def test_ladder_reaches_toom_only_past_the_index_gate(monkeypatch):
     monkeypatch.setattr(fibcore, "_mul", spy)
     assert _lucas_pair(2 * _TOOM_INDEX - 1) == _lucas_pair_native(2 * _TOOM_INDEX - 1)
     assert sizes == []  # its last step doubles _TOOM_INDEX - 1
-    assert _lucas_pair(2 * _TOOM_INDEX) == _lucas_pair_native(2 * _TOOM_INDEX)
-    assert len(sizes) == 2  # a product and a square on the last bit
+    k = 2 * _TOOM_INDEX
+    assert _lucas_pair(k) == _lucas_pair_native(k)
+    assert len(sizes) == 2 * k.bit_length()  # a product and a square per bit
+    assert max(sizes) >= _TOOM_BITS * 99 // 100  # the last step's operands
+    sizes.clear()
     k = 4 * _TOOM_INDEX + 3
     assert _lucas_pair(k) == _lucas_pair_native(k)
-    assert len(sizes) == 6  # and on each of the last two bits
-    assert min(sizes) >= _TOOM_BITS * 99 // 100
+    assert len(sizes) == 2 * k.bit_length()
 
 
 @pytest.mark.parametrize("i", [200_001, 1_000_003, 1_989_806])
