@@ -110,8 +110,14 @@ def predicted_residue(spec: TowerSpec) -> tuple[CaseTag, int | None]:
 class AnalysisReport:
     """Everything the analysis states about one tower spec.
 
-    unit_residue is (tower / F_n^(k+m-1)) mod F_n, None only if the
-    divisibility check failed (a counterexample, never expected).
+    unit_residue is (tower / F_n^(k+m-1)) mod F_n, None only if
+    divisibility_ok is False. divisibility_ok holds by construction: route
+    3 sums the two terms of the paper's truncation lemma, each a multiple
+    of F_n^(E-1), so its residue mod F_n^(k+m) is a multiple of
+    F_n^(k+m-1) whatever it was given. What can fail instead is checked
+    elsewhere: route 3's own checks (Cassini, F_n^(E-2) | x at each level,
+    CRT coprimality), the lemma suite's truncated_expansion, the oracle
+    suite, and the tests that compare route 3 with the chain route.
     trivial_base marks n <= 2, where F_n = 1 divides everything and the
     residue formula does not apply.
     """
@@ -132,9 +138,10 @@ class AnalysisReport:
 def analyze(spec: TowerSpec) -> AnalysisReport:
     """Valuation/unit analysis of one tower spec against the predicted residue.
 
-    Works from the tower's residue mod F_n^(k+m): that residue determines
-    both whether F_n^(k+m-1) divides the tower and the quotient mod F_n,
-    so the tower itself is never materialized.
+    Works from the tower's residue mod F_n^(k+m), which gives the quotient
+    mod F_n, so the tower itself is never materialized. Route 3 makes that
+    residue a multiple of F_n^(k+m-1) by construction, so divisibility_ok
+    is True on every admitted spec (see AnalysisReport).
 
     n = 3 is the sharp edge of exact divisibility: F_0 = 0 makes the
     predicted residue 0, so matching with exact = False is the expected
@@ -161,7 +168,7 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     else:
         x = lift_residue(spec, k + m)
         quotient, rem = divmod(x, fn**expected_valuation)
-        # rem != 0 would be a counterexample to a proved divisibility statement
+        # rem == 0 by construction: route 3's top level is a multiple of F_n^(k+m-1)
         divisibility_ok = rem == 0
         unit = quotient % fn if divisibility_ok else None
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fibtower import lift, modfib
+from fibtower import modfib
 
 
 @pytest.fixture
@@ -17,12 +17,3 @@ def cold_links(monkeypatch):
     monkeypatch.setattr(modfib, "_fib_factor_cache", {})
     return links
 
-
-@pytest.fixture
-def cold_lift(monkeypatch):
-    """An empty route 3 memo for one test; the process memo is restored. A
-    level the memo holds is not lifted again, so the checks inside its
-    arithmetic would not run."""
-    lifted = {}
-    monkeypatch.setattr(lift, "_lifted", lifted)
-    return lifted
