@@ -103,14 +103,14 @@ def truncated_expansion_residues(n: int, r: int, k: int) -> TruncationPair:
     Requires F_n^k | r; all divisions are checked exact on integers before
     any reduction.
 
-    These are the i = 1, 2 terms, divided by F_n^(k+1), that route 3 sums
-    at every level (lift._multiple_residue) in place of the whole
+    These are the i = 1, 2 terms, divided by F_n^(k+1), from which route 3
+    (lift.lift_unit) derives its step up the tower in place of the whole
     expansion. They stay separate on purpose: this is the paper's
     truncation lemma, checked on an exact r against fib(n*r) by the lemma
     suite's truncated_expansion, while route 3 applies it to r known only
-    mod 4 F_n^(E-1) or less, with each exponent of F_{n-1} read mod 4.
-    This check is what shows that the two terms are the whole sum; route 3
-    itself only checks the hypothesis F_n^(E-2) | r. Deriving one from the
+    through r / F_n^k mod F_n and r mod 24, with each exponent of F_{n-1}
+    read mod 4. This check is what shows that the two terms are the whole
+    sum; route 3 checks no part of the lemma itself. Deriving one from the
     other would make the lemma check route 3's arithmetic against itself.
     """
     if n < 3:

@@ -57,10 +57,9 @@ prints, rests on p being prime.
 tower.analyze certifies the report's chain here and stops where
 factoring F_n does: when factorize_fib or build_chain raises
 FactorBudgetExceeded, the report's chain is empty. analyze takes every
-residue from route 3 (fibtower.lift) and never calls tower_residue, which
+unit from route 3 (fibtower.lift) and never calls tower_residue, which
 serves tower_parity_check (mod 8), verify and the tests. Route 3 never
-factors F_n and calls fib_mod, pisano_period and factorize here only on
-small moduli coprime to F_n.
+factors F_n and calls nothing here but fib_mod, mod 24.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
 large for k >= 3, so it is never computed here: this module holds the
-spec, the case formula, analyze and the parity check. analyze takes every
-residue from route 3's F_n-adic lift (fibtower.lift), which never factors
-F_n, and builds route 1's Pisano chain only for its report; the parity
-check evaluates that chain (fibtower.modfib.tower_residue) mod 8.
+spec, the case formula, analyze and the parity check. analyze takes the
+unit from route 3 (fibtower.lift), which carries it up the tower mod F_n
+and never factors F_n, and builds route 1's Pisano chain only for its
+report; the parity check evaluates that chain
+(fibtower.modfib.tower_residue) mod 8.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 
 from .errors import FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
-from .lift import lift_residue
+from .lift import lift_unit
 from .modfib import build_chain, factorize_fib, tower_residue
 
 
@@ -110,15 +111,14 @@ def predicted_residue(spec: TowerSpec) -> tuple[CaseTag, int | None]:
 class AnalysisReport:
     """Everything the analysis states about one tower spec.
 
-    unit_residue is (tower / F_n^(k+m-1)) mod F_n, None only if
-    divisibility_ok is False. divisibility_ok holds by construction: route
-    3 sums the two terms of the paper's truncation lemma, each a multiple
-    of F_n^(E-1), so its residue mod F_n^(k+m) is a multiple of
-    F_n^(k+m-1) whatever it was given. What can fail instead is checked
-    elsewhere: route 3's own checks (Cassini, F_n^(E-2) | x at each level,
-    CRT coprimality), the lemma suite's truncated_expansion, the oracle
-    suite, and the tests that compare route 3 with the chain route.
-    trivial_base marks n <= 2, where F_n = 1 divides everything and the
+    unit_residue is (tower / F_n^(k+m-1)) mod F_n. divisibility_ok is
+    always True: route 3 carries that unit itself and never forms the
+    tower's residue mod F_n^(k+m), so analyze has no remainder to test.
+    The divisibility is the tower's theorem, and what can fail is checked
+    elsewhere: route 3's Cassini check, the lemma suite's
+    truncated_expansion, the oracle suite (exact valuations and units),
+    and the tests that compare route 3's unit with the chain route's
+    residue mod F_n^(k+m). trivial_base marks n <= 2, where F_n = 1 divides everything and the
     residue formula does not apply.
     """
 
@@ -138,18 +138,17 @@ class AnalysisReport:
 def analyze(spec: TowerSpec) -> AnalysisReport:
     """Valuation/unit analysis of one tower spec against the predicted residue.
 
-    Works from the tower's residue mod F_n^(k+m), which gives the quotient
-    mod F_n, so the tower itself is never materialized. Route 3 makes that
-    residue a multiple of F_n^(k+m-1) by construction, so divisibility_ok
-    is True on every admitted spec (see AnalysisReport).
+    Route 3 gives the quotient mod F_n without forming the tower or its
+    residue mod any power of F_n, so divisibility_ok is True on every
+    admitted spec (see AnalysisReport).
 
     n = 3 is the sharp edge of exact divisibility: F_0 = 0 makes the
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
-    The residue comes from route 3 alone: lift_residue expands the tower
-    F_n-adically without factoring F_n, and raises LiftBudgetExceeded,
-    which propagates, when its plan is charged past LIFT_BUDGET. Only an
+    The unit comes from route 3 alone: lift_unit carries it up the tower
+    mod F_n without factoring F_n, and raises LiftBudgetExceeded, which
+    propagates, when the tower is charged past LIFT_BUDGET. Only an
     admitted spec factors F_n: factorize_fib factors it part by part, each
     primitive part and each chain period under its own
     DEFAULT_FACTOR_BUDGET, and build_chain certifies the chain for
@@ -164,13 +163,9 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     expected_valuation = k + m - 1
     trivial = fn == 1
     if trivial:
-        divisibility_ok, unit, chain_summary = True, 0, ()
+        unit, chain_summary = 0, ()
     else:
-        x = lift_residue(spec, k + m)
-        quotient, rem = divmod(x, fn**expected_valuation)
-        # rem == 0 by construction: route 3's top level is a multiple of F_n^(k+m-1)
-        divisibility_ok = rem == 0
-        unit = quotient % fn if divisibility_ok else None
+        unit = lift_unit(spec)
         try:
             moduli = build_chain(k, factorize_fib(n).power(k + m))
         except FactorBudgetExceeded:
@@ -181,12 +176,12 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
         spec=spec,
         fn_value=fn,
         expected_valuation=expected_valuation,
-        divisibility_ok=divisibility_ok,
+        divisibility_ok=True,
         unit_residue=unit,
         exact=bool(unit),
         case=case,
         predicted_residue=predicted,
-        match=divisibility_ok and (predicted is None or unit == predicted),
+        match=predicted is None or unit == predicted,
         trivial_base=trivial,
         chain_summary=chain_summary,
     )

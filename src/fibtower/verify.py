@@ -27,7 +27,7 @@ from .lemmas import (
     divisor_power_witness,
     truncated_expansion_check,
 )
-from .lift import lift_residue
+from .lift import lift_unit
 from .modfib import tower_residue
 from .oracle import oracle_budget, oracle_eval, oracle_feasible
 from .tower import TowerSpec, analyze, tower_parity_check
@@ -207,9 +207,9 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
     """Exact results vs route 3 and the chain engine on every feasible grid spec.
 
     oracle_unit_agreement tests route 3 through analyze, which takes every
-    residue from it, and lift_agreement calls lift_residue directly; the
-    chain route's residue is checked by oracle_probe_agreement, whose
-    probes include F_n^(k+m), the modulus route 3 lifts to. Raises
+    unit from it, and lift_agreement calls lift_unit directly; the chain
+    route's residue is checked by oracle_probe_agreement, whose probes
+    include F_n^(k+m), the modulus whose residue holds the unit. Raises
     BudgetExceeded when the index budget admits no grid spec, so that no
     property passes on zero cases.
     """
@@ -245,9 +245,7 @@ def oracle_suite(max_index: int | None = None) -> list[PropertyResult]:
     def lift_cases():
         for spec in specs:
             res = exact[spec]
-            fn = fib(spec.n)
-            unit = lift_residue(spec, spec.k + spec.m) // fn ** (spec.k + spec.m - 1)
-            yield f"{spec} unit={res.quotient_residue}", unit % fn == res.quotient_residue
+            yield f"{spec} unit={res.quotient_residue}", lift_unit(spec) == res.quotient_residue
 
     results.append(_run("lift_agreement", lift_cases()))
 

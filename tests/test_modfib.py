@@ -20,7 +20,7 @@ from fibtower import (
     fib_mod,
     fib_pair_mod,
     is_prime,
-    lift_residue,
+    lift_unit,
     pisano_period,
     pisano_period_brute,
     tower_residue,
@@ -525,7 +525,7 @@ def test_tower_residue_walks_the_chain_itself(cold_links):
     moduli = build_chain(4, target)
     assert set(moduli[1:]) <= set(walked)
     assert_certified(walked)
-    assert tower_residue(spec, target) == cold == lift_residue(spec, 5)
+    assert tower_residue(spec, target) == cold == fib(30) ** 4 * lift_unit(spec)
     assert cold_links == walked
 
 
