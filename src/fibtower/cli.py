@@ -79,17 +79,6 @@ def _range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _jobs(text: str) -> int:
-    """argparse type for --jobs: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser; each subcommand sets `run`, the function that answers it."""
     parser = argparse.ArgumentParser(
@@ -125,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", type=_range, required=True, metavar="A..B")
     p_sweep.add_argument("--n", type=_range, required=True, metavar="A..B")
     p_sweep.add_argument("--m", type=_range, required=True, metavar="A..B")
-    p_sweep.add_argument("--jobs", type=_jobs, default=1)
+    p_sweep.add_argument("--jobs", type=_positive, default=1)
     p_sweep.add_argument("--out", type=Path, default=None)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, modfib
 from .errors import BudgetExceeded
-from .tower import AnalysisReport, CaseTag, TowerSpec, analyze, branch_label
+from .tower import AnalysisReport, TowerSpec, analyze, branch_label, classify
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -61,8 +61,8 @@ class SweepRow:
 
     @property
     def status(self) -> str:
-        """budget_exceeded without an analysis; else ok exactly when it matches
-        (match is false whenever divisibility failed)."""
+        """budget_exceeded without an analysis; else ok exactly when the
+        analysis matches its prediction."""
         if self.report is None:
             return STATUS_BUDGET
         return STATUS_OK if self.report.match else STATUS_MISMATCH
@@ -248,7 +248,7 @@ def _dec(value: int) -> str:
 
 def _parse_dec(text: str) -> int:
     """Inverse of _dec; rejects anything but a string of decimal digits."""
-    if not text.isdecimal():
+    if not (isinstance(text, str) and text.isdecimal()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return decimal_to_int(text)
 
@@ -261,17 +261,6 @@ def _parse_opt(text: str | None) -> int | None:
     return None if text is None else _parse_dec(text)
 
 
-def _as_is(value):
-    return value
-
-
-def _parse_bool(value) -> bool:
-    """Inverse of _as_is on a bool field; rejects anything but JSON true/false."""
-    if not isinstance(value, bool):
-        raise ValueError(f"not a JSON boolean: {value!r}")
-    return value
-
-
 def _chain(chain_summary: tuple[tuple[int, int], ...]) -> list[dict[str, str]]:
     return [{"modulus": _dec(mod), "period": _dec(per)} for mod, per in chain_summary]
 
@@ -280,21 +269,22 @@ def _parse_chain(levels: list[dict[str, str]]) -> tuple[tuple[int, int], ...]:
     return tuple((_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"])) for lvl in levels)
 
 
-# A row's analysis, one JSON key per AnalysisReport field:
-# key -> (field, encode, decode). A refused row holds None under every key.
+# A row's analysis, one JSON key per AnalysisReport field or property:
+# key -> (attribute, encode). A refused row holds None under every key.
 # cli._format_analysis prints the keys in this order.
 _ANALYSIS_KEYS = {
-    "fn": ("fn_value", _dec, _parse_dec),
-    "expected_valuation": ("expected_valuation", _dec, _parse_dec),
-    "divisibility_ok": ("divisibility_ok", _as_is, _parse_bool),
-    "unit_residue": ("unit_residue", _opt, _parse_opt),
-    "exact": ("exact", _as_is, _parse_bool),
-    "case": ("case", lambda case: case.value, CaseTag),
-    "predicted_residue": ("predicted_residue", _opt, _parse_opt),
-    "match": ("match", _as_is, _parse_bool),
-    "trivial_base": ("trivial_base", _as_is, _parse_bool),
-    "chain": ("chain_summary", _chain, _parse_chain),
+    "fn": ("fn_value", _dec),
+    "expected_valuation": ("expected_valuation", _dec),
+    "divisibility_ok": ("divisibility_ok", bool),
+    "unit_residue": ("unit_residue", _dec),
+    "exact": ("exact", bool),
+    "case": ("case", lambda case: case.value),
+    "predicted_residue": ("predicted_residue", _opt),
+    "match": ("match", bool),
+    "trivial_base": ("trivial_base", bool),
+    "chain": ("chain_summary", _chain),
 }
+_ROW_KEYS = {"n", "k", "m", "status", *_ANALYSIS_KEYS}
 
 
 def _row_dict(row: SweepRow) -> dict:
@@ -305,8 +295,8 @@ def _row_dict(row: SweepRow) -> dict:
         "status": row.status,
     }
     rep = row.report
-    for key, (field, encode, _) in _ANALYSIS_KEYS.items():
-        out[key] = None if rep is None else encode(getattr(rep, field))
+    for key, (attribute, encode) in _ANALYSIS_KEYS.items():
+        out[key] = None if rep is None else encode(getattr(rep, attribute))
     return out
 
 
@@ -383,19 +373,32 @@ def render_json(report: SweepReport) -> str:
 
 
 def _parse_row(obj: dict) -> SweepRow:
-    """Inverse of _row_dict; rejects a stored status that the analysis does not give."""
-    spec = TowerSpec(
-        k=_parse_dec(obj["k"]), n=_parse_dec(obj["n"]), m=_parse_dec(obj["m"])
-    )
+    """Inverse of _row_dict.
+
+    Decodes the spec and the values analyze computes, and takes the case
+    from classify. Every other key (status and the report's properties) is
+    derived, so the row is refused unless _row_dict gives back the stored
+    dict exactly: the same keys, and under each the same JSON value and type.
+    """
+    if obj.keys() != _ROW_KEYS:
+        key = min(obj.keys() ^ _ROW_KEYS)
+        raise ValueError(f"row {'has the extra' if key in obj else 'lacks the'} key {key!r}")
+    spec = TowerSpec(k=_parse_dec(obj["k"]), n=_parse_dec(obj["n"]), m=_parse_dec(obj["m"]))
     report = None
     if obj["fn"] is not None:
-        decoded = {
-            field: decode(obj[key]) for key, (field, _, decode) in _ANALYSIS_KEYS.items()
-        }
-        report = AnalysisReport(spec=spec, **decoded)
+        report = AnalysisReport(
+            spec,
+            _parse_dec(obj["fn"]),
+            _parse_dec(obj["unit_residue"]),
+            classify(spec),
+            _parse_opt(obj["predicted_residue"]),
+            _parse_chain(obj["chain"]),
+        )
     row = SweepRow(spec, report)
-    if row.status != obj["status"]:
-        raise ValueError(f"row {spec} is stored as {obj['status']!r} but reads {row.status!r}")
+    for key, value in sorted(_row_dict(row).items()):
+        # type-strict: JSON 1 is not true
+        if type(obj[key]) is not type(value) or obj[key] != value:
+            raise ValueError(f"row {spec} stores {key} as {obj[key]!r}, which reads {value!r}")
     return row
 
 

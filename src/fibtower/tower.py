@@ -109,39 +109,59 @@ def predicted_residue(spec: TowerSpec) -> tuple[CaseTag, int | None]:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analysis states about one tower spec.
+    """What analyze finds for one tower spec, and what follows from it.
 
-    unit_residue is (tower / F_n^(k+m-1)) mod F_n. divisibility_ok is
-    always True: route 3 carries that unit itself and never forms the
-    tower's residue mod F_n^(k+m), so analyze has no remainder to test.
-    The divisibility is the tower's theorem, and what can fail is checked
-    elsewhere: route 3's Cassini check, the lemma suite's
-    truncated_expansion, the oracle suite (exact valuations and units),
-    and the tests that compare route 3's unit with the chain route's
-    residue mod F_n^(k+m). trivial_base marks n <= 2, where F_n = 1 divides everything and the
-    residue formula does not apply.
+    Six values are stored; unit_residue is (tower / F_n^(k+m-1)) mod F_n,
+    0 when F_n = 1. The five properties below are derived from them, so a
+    report cannot contradict itself.
     """
 
     spec: TowerSpec
     fn_value: int
-    expected_valuation: int
-    divisibility_ok: bool
-    unit_residue: int | None
-    exact: bool
+    unit_residue: int
     case: CaseTag
     predicted_residue: int | None
-    match: bool
-    trivial_base: bool
     chain_summary: tuple[tuple[int, int], ...]
+
+    @property
+    def expected_valuation(self) -> int:
+        """k + m - 1, the power of F_n that the theorem says divides the tower."""
+        return self.spec.k + self.spec.m - 1
+
+    @property
+    def divisibility_ok(self) -> bool:
+        """Always True: the theorem's constant, kept in the report schema so
+        that report bytes stay as they were.
+
+        Route 3 carries the unit and never forms the tower's residue mod
+        F_n^(k+m), so analyze has no remainder to test. The checks that can
+        fail are elsewhere: route 3's Cassini check, the lemma suite's
+        truncated_expansion, the oracle suite's exact valuations and units,
+        and the tests that compare route 3's unit with the chain route's
+        residue mod F_n^(k+m).
+        """
+        return True
+
+    @property
+    def exact(self) -> bool:
+        """The unit is nonzero: F_n^(k+m) does not divide the tower."""
+        return bool(self.unit_residue)
+
+    @property
+    def match(self) -> bool:
+        """The unit is the predicted residue, or no prediction applies."""
+        return self.predicted_residue is None or self.unit_residue == self.predicted_residue
+
+    @property
+    def trivial_base(self) -> bool:
+        """F_n = 1 (n <= 2): it divides everything, and no formula applies."""
+        return self.fn_value == 1
 
 
 def analyze(spec: TowerSpec) -> AnalysisReport:
     """Valuation/unit analysis of one tower spec against the predicted residue.
 
-    Route 3 gives the quotient mod F_n without forming the tower or its
-    residue mod any power of F_n, so divisibility_ok is True on every
-    admitted spec (see AnalysisReport).
-
+    It passes the six values it computes; AnalysisReport derives the rest.
     n = 3 is the sharp edge of exact divisibility: F_0 = 0 makes the
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
@@ -157,34 +177,20 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     chain is empty. A refused part is factored once per process: a
     multiple of d is refused without factoring it again.
     """
-    k, n, m = spec.k, spec.n, spec.m
+    n = spec.n
     fn = fib(n)
     case, predicted = predicted_residue(spec)
-    expected_valuation = k + m - 1
-    trivial = fn == 1
-    if trivial:
+    if fn == 1:
         unit, chain_summary = 0, ()
     else:
         unit = lift_unit(spec)
         try:
-            moduli = build_chain(k, factorize_fib(n).power(k + m))
+            moduli = build_chain(spec.k, factorize_fib(n).power(spec.k + spec.m))
         except FactorBudgetExceeded:
             chain_summary = ()
         else:
             chain_summary = tuple(zip(moduli[1:], moduli))
-    return AnalysisReport(
-        spec=spec,
-        fn_value=fn,
-        expected_valuation=expected_valuation,
-        divisibility_ok=True,
-        unit_residue=unit,
-        exact=bool(unit),
-        case=case,
-        predicted_residue=predicted,
-        match=predicted is None or unit == predicted,
-        trivial_base=trivial,
-        chain_summary=chain_summary,
-    )
+    return AnalysisReport(spec, fn, unit, case, predicted, chain_summary)
 
 
 def tower_parity_check(spec: TowerSpec) -> tuple[bool, bool, bool]:

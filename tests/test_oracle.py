@@ -108,7 +108,6 @@ def test_oracle_agrees_with_chain_engine_small():
         assert oracle_feasible(spec, 2_000_000), spec
         res = oracle_eval(spec, 2_000_000)
         rep = analyze(spec)
-        assert rep.divisibility_ok
         assert rep.unit_residue == res.quotient_residue, spec
         assert res.valuation >= rep.expected_valuation
         for probe in (7, 8, 97):

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from decimal import Decimal
 
@@ -81,10 +82,10 @@ def test_json_roundtrip_rejects_tampered_summary():
     # the status is derived from the row's analysis, so the row is refused
     payload = json.loads(render_json(report))
     payload["rows"][0]["status"] = "mismatch"
-    with pytest.raises(ValueError, match="stored as 'mismatch'"):
+    with pytest.raises(ValueError, match="stores status as 'mismatch'"):
         parse_json(json.dumps(payload))
     payload["summary"]["status"] = {"mismatch": "1"}
-    with pytest.raises(ValueError, match="stored as 'mismatch'"):
+    with pytest.raises(ValueError, match="stores status as 'mismatch'"):
         parse_json(json.dumps(payload))
 
 
@@ -92,7 +93,38 @@ def test_json_roundtrip_rejects_tampered_summary():
 def test_json_roundtrip_rejects_a_flag_that_is_not_a_boolean(key):
     payload = json.loads(render_json(run_sweep((2, 2), (4, 4), (1, 1))))
     payload["rows"][0][key] = "yes"
-    with pytest.raises(ValueError, match="not a JSON boolean: 'yes'"):
+    with pytest.raises(ValueError, match=f"stores {key} as 'yes'"):
+        parse_json(json.dumps(payload))
+
+
+TAMPERED_ROWS = [
+    # F_4 = 3 and the unit is 1: a unit of 2 reads as a mismatch
+    ("unit_residue", "2", "stores match as True, which reads False"),
+    ("divisibility_ok", False, "stores divisibility_ok as False"),
+    ("expected_valuation", "3", "stores expected_valuation as '3', which reads '2'"),
+    ("exact", 1, "stores exact as 1, which reads True"),
+    ("trivial_base", True, "stores trivial_base as True"),
+    ("case", "HALF_POW", "stores case as 'HALF_POW', which reads 'UNIT_ONE'"),
+    ("fn", "03", "stores fn as '03', which reads '3'"),
+    ("extra", "1", "has the extra key 'extra'"),
+    ("exact", None, "lacks the key 'exact'"),
+    ("chain", None, "lacks the key 'chain'"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", TAMPERED_ROWS, ids=[f"{key}-{value}" for key, value, _ in TAMPERED_ROWS]
+)
+def test_parse_json_refuses_a_row_that_contradicts_itself(key, value, message):
+    # a row stores what analyze computes; every other key must be what
+    # those values give, in JSON type too. None here deletes the key
+    payload = json.loads(render_json(run_sweep((2, 2), (4, 4), (1, 1))))
+    row = payload["rows"][0]
+    if value is None:
+        del row[key]
+    else:
+        row[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_json(json.dumps(payload))
 
 
@@ -110,14 +142,19 @@ def _dumps_layout(rep: SweepReport) -> str:
 
 
 def test_render_json_is_json_dumps_layout():
-    # k = 1 rows and n <= 2 rows with their trivial bases
+    # k = 1 rows and n <= 2 rows with their trivial bases; each report also
+    # reads back as written
     rep = run_sweep((1, 3), (1, 12), (1, 2))
     assert {row.spec.k for row in rep.rows if row.report.trivial_base} >= {1, 2, 3}
-    assert render_json(rep) == _dumps_layout(rep)
+    text = render_json(rep)
+    assert text == _dumps_layout(rep)
+    assert render_json(parse_json(text)) == text
     # rows route 3 refuses at once: null under every analysis key
     rep = run_sweep((2, 3), (500, 500), (200, 200))
     assert [row.status for row in rep.rows] == ["budget_exceeded"] * 2
-    assert render_json(rep) == _dumps_layout(rep)
+    text = render_json(rep)
+    assert text == _dumps_layout(rep)
+    assert render_json(parse_json(text)) == text
     # chains of depth 12
     rep = run_sweep((12, 12), (3, 14), (1, 2))
     assert max(len(row.report.chain_summary) for row in rep.rows) == 12
@@ -179,14 +216,9 @@ def test_reports_beyond_int_str_digit_limit():
     analysis = AnalysisReport(
         spec=spec,
         fn_value=fn,
-        expected_valuation=301,
-        divisibility_ok=True,
         unit_residue=predicted,
-        exact=True,
         case=case,
         predicted_residue=predicted,
-        match=True,
-        trivial_base=False,
         chain_summary=((2 * modulus, 2 * modulus), (modulus, 2 * modulus)),
     )
     limit = sys.get_int_max_str_digits()
@@ -347,8 +379,10 @@ def test_sweep_wide_report_bytes_are_pinned():
     # of the report format or of a computed value
     rep = run_sweep((2, 8), (26, 90), (1, 3))
     assert len(rep.rows) == 1365
-    digest = hashlib.sha256(render_json(rep).encode()).hexdigest()
+    text = render_json(rep)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "b90dceb7b1c3092dd30498da23ee0454b93260b6f62b26ec11f6a5bdfe789c37"
+    assert render_json(parse_json(text)) == text
     digest = hashlib.sha256(render_csv(rep).encode()).hexdigest()
     assert digest == "2e111914200235b2ee0d2a17c382396dcc54c0dd7894ceec857e87f6b78b540e"
 
@@ -518,8 +552,9 @@ def test_cli_sweep_exit_code_reads_row_status_once(monkeypatch, capsys):
         return real_label(spec)
 
     def mismatch_at_n_4(spec):
+        # F_4 = 3 and the unit is 1: a unit of 2 is not the predicted 1
         rep = real_analyze(spec)
-        return dataclasses.replace(rep, match=False) if spec.n == 4 else rep
+        return dataclasses.replace(rep, unit_residue=2) if spec.n == 4 else rep
 
     monkeypatch.setattr(report, "branch_label", counting_label)
     argv = ["sweep", "--k", "2..2", "--n", "3..5", "--m", "1..1"]
@@ -610,9 +645,14 @@ def test_cli_sweep_stdout_and_usage(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"][0]["unit_residue"] == "1"
     assert main(["sweep", "--k", "6..2", "--n", "3..25", "--m", "1..3"]) == 2
-    assert main(["sweep", "--k", "2..3", "--n", "3..4", "--m", "1..1",
-                 "--jobs", "0"]) == 2
     capsys.readouterr()
+    # --jobs takes the same integer type as k, n and m
+    for bad in ("0", "-1", "x"):
+        assert main(["sweep", "--k", "2..3", "--n", "3..4", "--m", "1..1",
+                     "--jobs", bad]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"fibtower sweep: error: argument --jobs: invalid positive integer value: {bad!r}"
+        )
 
 
 def test_cli_verify_identities(capsys):

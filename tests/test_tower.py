@@ -95,7 +95,6 @@ def test_predicted_residue_signed_negation():
 def test_analyze_example_2_5_1():
     assert fib(25) == 75_025 == 25 * 3001
     rep = analyze(TowerSpec(2, 5, 1))
-    assert rep.divisibility_ok
     assert rep.unit_residue == 3001 % 5 == 1
     assert rep.case is CaseTag.UNIT_ONE
     assert rep.match and rep.exact
@@ -115,7 +114,6 @@ def test_analyze_example_3_3_1():
     # the n = 3 degenerate case: residue 0 is a legitimate match
     assert fib(24) == 46_368 and 46_368 // 8 == 5796
     rep = analyze(TowerSpec(3, 3, 1))
-    assert rep.divisibility_ok
     assert rep.unit_residue == 5796 % 2 == 0
     assert not rep.exact
     assert rep.case is CaseTag.SIGNED_HALF_POW and rep.predicted_residue == 0
@@ -126,7 +124,7 @@ def test_analyze_trivial_bases():
     for n in (1, 2):
         rep = analyze(TowerSpec(4, n, 2))
         assert rep.trivial_base and rep.fn_value == 1
-        assert rep.divisibility_ok and rep.match
+        assert rep.match
         assert rep.unit_residue == 0 and not rep.exact
         assert rep.case is CaseTag.OUT_OF_RANGE
         assert rep.chain_summary == ()
@@ -135,28 +133,32 @@ def test_analyze_trivial_bases():
 def test_analyze_height_one():
     rep = analyze(TowerSpec(1, 7, 2))
     assert rep.expected_valuation == 2
-    assert rep.divisibility_ok and rep.match
+    assert rep.match
     assert rep.unit_residue == 1 and rep.exact
     assert rep.case is CaseTag.OUT_OF_RANGE and rep.predicted_residue is None
 
 
 def test_analyze_report_invariants():
+    # the chain route's residue mod F_n^(k+m) is F_n^(k+m-1) times the unit
     for k, n, m in product((1, 2, 3, 5), (1, 2, 3, 4, 9, 12), (1, 2)):
-        rep = analyze(TowerSpec(k, n, m))
-        if rep.exact:
-            assert rep.divisibility_ok
+        spec = TowerSpec(k, n, m)
+        rep = analyze(spec)
+        fn, e = rep.fn_value, rep.expected_valuation
+        assert e == k + m - 1
+        if fn > 1:
+            assert 0 <= rep.unit_residue < fn
+            assert tower_residue(spec, fn ** (e + 1)) == fn**e * rep.unit_residue, spec
         if rep.predicted_residue is not None:
             assert rep.match == (rep.unit_residue == rep.predicted_residue)
-        if rep.unit_residue is not None and rep.fn_value > 1:
-            assert 0 <= rep.unit_residue < rep.fn_value
 
 
 def test_chained_divisibility_consequence():
-    # height-2 towers with base exponent k certify F_n^(k+1) | F_{n * F_n^k}
+    # height-2 towers with base exponent k certify F_n^(k+1) | F_{n * F_n^k},
+    # read here from the chain route's residue mod F_n^(k+2)
     for n in range(3, 11):
+        fn = fib(n)
         for k in range(1, 5):
-            rep = analyze(TowerSpec(2, n, k))
-            assert rep.divisibility_ok, (n, k)
+            assert tower_residue(TowerSpec(2, n, k), fn ** (k + 2)) % fn ** (k + 1) == 0, (n, k)
 
 
 def test_parity_examples():
@@ -191,7 +193,7 @@ def test_analyze_beyond_grid_scale():
     # larger bases pull bigger primes into the chains (F_100 contains 570601)
     for n, k in ((30, 2), (37, 7), (100, 7)):
         rep = analyze(TowerSpec(k, n, 2))
-        assert rep.divisibility_ok and rep.match and rep.exact, (n, k)
+        assert rep.match and rep.exact, (n, k)
     rep = analyze(TowerSpec(2, 30, 2))
     assert rep.case is CaseTag.SIGNED_HALF_POW
     assert rep.unit_residue == fib(27) // 2 == 98_209
