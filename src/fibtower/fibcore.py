@@ -20,6 +20,10 @@ product (Toom 1963, Cook 1966) that cuts each operand in three and
 recurses on five products of a third the size, and falls back to native *
 below _TOOM_BITS. The ladder's loop calls it only once k >> 1 reaches
 _TOOM_INDEX, so small indices pay no call per bit.
+
+fib keeps F_i for i < _MEMO_INDEX once a ladder has computed it, so the
+few reads of F_n, F_{n-1} and F_{n-3} that one tower takes cost one
+ladder each per process; larger indices are computed on every call.
 """
 
 from __future__ import annotations
@@ -134,12 +138,26 @@ def _check_budget(i: int, max_index: int | None = None) -> None:
         raise BudgetExceeded(f"fib index {i} exceeds exact-index budget {limit}")
 
 
+# fib keeps F_i for i below this: about 0.7 * 1024^2 / 2 bits in all, 75 KB
+# of ints with their headers.
+_MEMO_INDEX = 1024
+_memo: dict[int, int] = {}
+
+
 def fib(i: int, *, max_index: int | None = None) -> int:
-    """Exact F_i. Raises BudgetExceeded when i is over the exact-index budget."""
+    """Exact F_i. Raises BudgetExceeded when i is over the exact-index budget.
+
+    Below _MEMO_INDEX the ladder's value is kept, and later calls read it.
+    """
     if i < 0:
         raise ValueError("index must be nonnegative")
     _check_budget(i, max_index)
-    return _fib(i)
+    if i >= _MEMO_INDEX:
+        return _fib(i)
+    value = _memo.get(i)
+    if value is None:
+        value = _memo.setdefault(i, _fib(i))
+    return value
 
 
 def fib_iterative(i: int) -> int:

@@ -17,7 +17,8 @@ Divide by F^(j+m) and write u_j = G(j)/F^(j+m-1) mod F:
 So u_(j+1) = u_j F'^((x-1) mod 4) + (F/2 if F is even and u_j is odd),
 mod F. A level reads x = G(j) only mod 4, and the route carries G(j) mod
 24: since pi(24) = 24, G(j+1) mod 24 is F mod 24 at the index n G(j)
-mod 24. From u_1 = 1 mod F and G(1) = F^m, the pair (u_j, G(j) mod 24)
+mod 24, read from a table of F_0 .. F_23 mod 24 that fib_mod fills on
+first use. From u_1 = 1 mod F and G(1) = F^m, the pair (u_j, G(j) mod 24)
 goes up the tower, and no number above F is ever formed. The route never
 factors F and takes no Pisano period: it shares only fib_mod with the
 chain route.
@@ -33,6 +34,7 @@ lemma is never checked against route 3's own arithmetic.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 from .errors import FibTowerError, LiftBudgetExceeded
@@ -71,6 +73,13 @@ def _charge(spec, fn_bits: int) -> int:
     return charge
 
 
+@cache
+def _fib_mod_24() -> tuple[int, ...]:
+    """F_i mod 24 for i = 0 .. 23; F_i mod 24 is entry i mod 24, since
+    pi(24) = 24. Filled by fib_mod on the first call, not at import."""
+    return tuple(fib_mod(i, 24) for i in range(24))
+
+
 def lift_unit(spec) -> int:
     """(G(k, n, m) / F_n^(k+m-1)) mod F_n by route 3 (see the module
     docstring); 0 when F_n = 1.
@@ -89,8 +98,9 @@ def lift_unit(spec) -> int:
     # F'^0 .. F'^3 mod F, by Cassini's F'^2 == (-1)^n
     powers = [1, fn1, sign % fn, sign * fn1 % fn]
     half = 0 if fn % 2 else fn // 2
+    mod_24 = _fib_mod_24()
     u, g = 1, pow(fn, spec.m, 24)
     for _ in range(spec.k - 1):
         u = (u * powers[(g - 1) % 4] + (u & 1) * half) % fn
-        g = fib_mod(n * g % 24, 24)
+        g = mod_24[n * g % 24]
     return u

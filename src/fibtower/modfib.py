@@ -19,19 +19,21 @@ prime of F_n gets a smaller candidate from factorize_fib: F_{4n} == 0 and
 F_{4n+1} == 1 (mod F_n), so period(F_n), and with it period(p), divides 4n
 (Carmichael 1913; Wall 1960), and it is descended from the 4d of the first
 F_d that p divides, never from p - 1 or 2(p + 1). A prime power p^e takes
-Wall's rule from its prime's entry, with no ladder mod p^e above p^(t+1),
-and nothing rests on the open question whether period(p^2) != period(p)
-for every prime: a Wall-Sun-Sun prime would only give t >= 2. Any other
-modulus enters only as a chain modulus, in the one chain walk (_walk)
-that build_chain and tower_residue share, the second writer: its
-prime-power parts must be pairwise coprime (their lcm is the modulus,
-checked on the values, not taken from is_prime), and by the CRT the lcm
-of their cached periods is then the minimal period of the modulus, with
-no ladder on the full modulus and no second check on a part.
-pisano_period does not cache composite moduli. Each prime was tested
-once, where it entered: in factorize or in a validated object. The cache
-entries and pisano_period's results are built from those primes without
-testing them again (FactoredNatural._trusted_map).
+Wall's rule from its prime's entry, and Wall's exponent t, a property of
+p alone, from p^2's entry: one ladder mod p^2 per prime, whatever the
+exponents. Nothing rests on the open question whether period(p^2) !=
+period(p) for every prime: a Wall-Sun-Sun prime would only give t >= 2,
+and only then are p^3, p^4, ... checked. Any other modulus enters only as
+a chain modulus, in the one chain walk (_walk) that build_chain and
+tower_residue share, the second writer: its prime-power parts must be
+pairwise coprime (checked on their primes' values, not taken from
+is_prime), and by the CRT the lcm of their periods, each built from its
+prime's entry, is then the minimal period of the modulus, with no ladder
+on the full modulus and no second check on a part. pisano_period does not
+cache composite moduli. Each prime was tested once, where it entered: in
+factorize or in a validated object. The cache entries and pisano_period's
+results are built from those primes without testing them again
+(FactoredNatural._trusted_map).
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -69,7 +71,7 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
@@ -426,8 +428,9 @@ def _is_period(t: int, m: int) -> bool:
 # modulus -> its certified minimal period, under one lock. Two writers: a
 # prime power's entry is written only by _prime_power_period, a prime's
 # after its descent and p^e's by Wall's rule from the prime's entry and
-# the checks mod p^2 ... p^(t+1); any other entry only by the chain walk
-# (_walk), as the lcm of such entries over parts whose lcm is the modulus.
+# the p^2 entry's check (and mod p^3 ... p^(t+1) only when t >= 2); any
+# other entry only by the chain walk (_walk), as the lcm of the parts'
+# periods over parts whose primes are pairwise coprime.
 # A prime power's entry is a period for any integer p: with A the
 # Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
 # A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
@@ -456,8 +459,10 @@ def _prime_power_period(
     prime factors while the property survives converges to it regardless
     of the order primes are tried. For e >= 2 it is Wall's rule (Wall
     1960): with t the largest j <= e for which period(p) is a period mod
-    p^j, it is p^(e-t) * period(p). The checks mod p^2, p^3, ... stop at
-    the first that fails, which for every known prime is the one mod p^2.
+    p^j, it is p^(e-t) * period(p). t depends on p alone, and is read
+    from p^2's entry, one check mod p^2 per prime: t = 1 unless that
+    entry is period(p). Only then, which no known prime gives, are p^3,
+    p^4, ... checked, up to the first that fails.
     """
     m = p**e
     hit = _cached(m)
@@ -479,9 +484,14 @@ def _prime_power_period(
                 fac[q] -= 1
     else:
         base = _prime_power_period(p)
-        t = 1
-        while t < e and _is_period(base.value, p ** (t + 1)):
-            t += 1
+        if e == 2:
+            t = 2 if _is_period(base.value, m) else 1
+        elif _prime_power_period(p, 2).value != base.value:
+            t = 1
+        else:
+            t = 2
+            while t < e and _is_period(base.value, p ** (t + 1)):
+                t += 1
         fac = base.factor_map()
         fac[p] = fac.get(p, 0) + e - t
     # fac's primes are p and those of a factorize result or of p's entry
@@ -493,15 +503,29 @@ def _prime_power_period(
 def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
-    By the CRT the period mod m is the lcm of the periods of its
-    prime-power parts, each a certified minimal period from the cache;
-    the result never leans on the open p^2 scaling conjecture. Only the
-    prime-power parts are cached; m itself is not.
+    A prime power is _prime_power_period's cached entry. Otherwise, by the
+    CRT, the period mod m is the lcm of the periods of its prime-power
+    parts, each built from its prime's cached entry by Wall's rule: p's
+    exponent is raised by e - 1 when p^2's entry shows t = 1, and only
+    when it shows t >= 2 is the part's own entry taken, so no p^e is
+    formed. The result never leans on the open p^2 scaling conjecture.
+    Only prime powers are cached; a composite m is not.
     """
+    if len(m.factors) == 1:
+        return _prime_power_period(*m.factors[0])
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        for q, f in _prime_power_period(p, e).factors:
-            merged[q] = max(merged.get(q, 0), f)
+        part = _prime_power_period(p)
+        extra = e - 1  # t = 1: period(p^e) = p^(e-1) * period(p)
+        if extra and _prime_power_period(p, 2).value == part.value:
+            part, extra = _prime_power_period(p, e), 0  # t >= 2: p^e's own entry
+        if extra and merged.get(p, 0) < extra:
+            merged[p] = extra
+        for q, f in part.factors:
+            if q == p:
+                f += extra
+            if merged.get(q, 0) < f:
+                merged[q] = f
     return FactoredNatural._trusted_map(merged)
 
 
@@ -611,8 +635,9 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
     Each level is a cache hit or, on a miss, the CRT lcm from
     pisano_period of its prime-power parts' entries (see _period_cache).
     A modulus with more than one part is recorded once the parts are
-    pairwise coprime (their lcm is the modulus, checked on the values, not
-    taken from is_prime); by the CRT the lcm is then its period, with no
+    pairwise coprime, checked on the values, not taken from is_prime: the
+    lcm of their primes is their product, since gcd(p^a, q^b) = 1 exactly
+    when gcd(p, q) = 1. By the CRT the lcm is then its period, with no
     period check here.
     """
     if k < 1:
@@ -625,7 +650,8 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
         if period is None:
             period = pisano_period(modulus)
             if len(modulus.factors) > 1:
-                if lcm(*(p**e for p, e in modulus.factors)) != m:
+                primes = [p for p, _ in modulus.factors]
+                if lcm(*primes) != prod(primes):
                     raise FibTowerError(
                         f"a part of a {m.bit_length()}-bit chain modulus shares a factor"
                     )

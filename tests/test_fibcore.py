@@ -172,6 +172,29 @@ def test_fib_budget():
         fib(-1)
 
 
+def test_fib_keeps_small_indices_and_reads_them_back(monkeypatch):
+    # from an empty memo: F_i is kept for i < 1024 alone, later calls read
+    # it with no ladder, and the budget still applies to a kept index
+    memo = {}
+    monkeypatch.setattr(fibcore, "_memo", memo)
+    assert fibcore._MEMO_INDEX == 1024
+    for i in range(1024):
+        assert fib(i) == fib_iterative(i), i
+    assert sorted(memo) == list(range(1024))
+
+    def no_ladder(i):
+        raise AssertionError(f"a ladder ran for F_{i}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fibcore, "_fib", no_ladder)
+        assert [fib(i) for i in range(1024)] == FIBS[:1024]
+        with pytest.raises(BudgetExceeded):
+            fib(500, max_index=499)
+    for i in (1024, 1025, 4096):
+        assert fib(i) == fib_iterative(i), i
+    assert sorted(memo) == list(range(1024))
+
+
 def test_fib_exceeds():
     assert fib_exceeds(30, 832_039)
     assert not fib_exceeds(30, 832_040)  # F_30 == 832040 exactly

@@ -1,9 +1,15 @@
 """Route 3: the tower's unit mod F_n, carried up the tower, F_n unfactored."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fibtower
 from fibtower import (
     DEFAULT_ORACLE_MAX_INDEX,
     LIFT_BUDGET,
@@ -175,3 +181,41 @@ def test_lift_of_a_tall_tower_agrees_with_the_chain_route():
 @example(k=40, n=39, m=3)
 def test_lift_agrees_with_the_chain_route_on_tall_towers(k, n, m):
     assert_agrees_with_the_chain_route(TowerSpec(k, n, m))
+
+
+def test_lift_reads_f_mod_24_from_its_table():
+    # pi(24) = 24, so the table of F_0 .. F_23 mod 24 gives F_i mod 24 at
+    # every index
+    assert modfib.fib_pair_mod(24, 24) == (0, 1)
+    table = lift._fib_mod_24()
+    assert table == tuple(modfib.fib_mod(i, 24) for i in range(24))
+    for i in range(24, 5000, 7):
+        assert table[i % 24] == modfib.fib_mod(i, 24), i
+
+
+def test_importing_fibtower_runs_no_fibonacci_ladder():
+    # fib's memo and route 3's mod-24 table fill on first use, so a ladder
+    # counted in a run is one that run asked for
+    code = """
+import sys
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call" and "fibtower" in frame.f_code.co_filename:
+        called.add(frame.f_code.co_name)
+
+sys.setprofile(profile)
+import fibtower
+sys.setprofile(None)
+ladders = called & {"_lucas_pair", "fib_pair_mod", "fib_iterative"}
+print(sorted(ladders), fibtower.fibcore._memo, fibtower.lift._fib_mod_24.cache_info().currsize)
+"""
+    src = str(Path(fibtower.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "{}", "0"]

@@ -771,3 +771,41 @@ def test_period_cache_under_concurrent_chains(cold_links):
 def test_chain_depth_validation():
     with pytest.raises(ValueError):
         build_chain(0, factorize(9))
+
+
+def test_pisano_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
+    # the same pretence through pisano_period and build_chain. The parts of
+    # 2 * 7^e are merged by the CRT, and 7^e takes its own entry once the
+    # entry of 49 shows t >= 2; a prime power alone is its own entry
+    is_period = modfib._is_period
+    monkeypatch.setattr(
+        modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)
+    )
+    exponents = (2, 3, 4)
+    merged = [pisano_period(FactoredNatural(2 * 7**e, ((2, 1), (7, e)))) for e in exponents]
+    assert [period.value for period in merged] == [3 * 16, 3 * 7 * 16, 3 * 7**2 * 16]
+    cold_links.clear()
+    alone = [pisano_period(FactoredNatural(7**e, ((7, e),))).value for e in exponents]
+    assert alone == [16, 7 * 16, 7**2 * 16]
+    cold_links.clear()
+    chains = [build_chain(1, FactoredNatural(7**e, ((7, e),)))[0] for e in exponents]
+    assert chains == alone
+
+
+def test_wall_exponent_takes_one_ladder_per_prime(cold_links, monkeypatch):
+    # t is a property of p alone (Wall 1960): chains over four powers of 7
+    # read it from the entry of 49, made by one ladder, and run none mod
+    # 7^j for j >= 3
+    moduli = []
+    ladder = modfib.fib_pair_mod
+
+    def spy(i, m):
+        moduli.append(m)
+        return ladder(i, m)
+
+    monkeypatch.setattr(modfib, "fib_pair_mod", spy)
+    for e in (3, 5, 9):
+        assert build_chain(3, factorize(7**e))[-2] == 7 ** (e - 1) * 16, e
+    assert build_chain(3, factorize(2 * 7**4))[-2] == 7**3 * 48
+    assert [m for m in moduli if m % 49 == 0] == [49]
+    assert_certified(cold_links)

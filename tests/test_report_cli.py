@@ -128,6 +128,39 @@ def test_parse_json_refuses_a_row_that_contradicts_itself(key, value, message):
         parse_json(json.dumps(payload))
 
 
+def _malformed(payload: dict, case: str):
+    """payload, a (2, 4, 1) report, broken in one of the ways below."""
+    row = payload["rows"][0]
+    if case == "not an object":
+        return [payload]
+    if case == "no grid":
+        del payload["grid"]
+    elif case == "row a list":
+        payload["rows"][0] = list(row)
+    elif case == "level a string":
+        row["chain"][0] = "modulus"
+    elif case == "level without modulus":
+        del row["chain"][0]["modulus"]
+    return payload
+
+
+MALFORMED = [
+    ("not an object", "report is an array, not an object"),
+    ("no grid", "report lacks the key 'grid'"),
+    ("row a list", "row is an array, not an object"),
+    ("level a string", "chain level is a string, not an object"),
+    ("level without modulus", "chain level lacks the key 'modulus'"),
+]
+
+
+@pytest.mark.parametrize("case, message", MALFORMED, ids=[case for case, _ in MALFORMED])
+def test_parse_json_refuses_a_malformed_report_with_value_error(case, message):
+    payload = json.loads(render_json(run_sweep((2, 2), (4, 4), (1, 1))))
+    assert payload["rows"][0]["chain"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_json(json.dumps(_malformed(payload, case)))
+
+
 def _dumps_layout(rep: SweepReport) -> str:
     """render_json's payload, from the same _row_dicts, laid out by json.dumps."""
     ranges = {"k": rep.k_range, "n": rep.n_range, "m": rep.m_range}
