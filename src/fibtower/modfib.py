@@ -503,27 +503,14 @@ def _prime_power_period(
 def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
-    A prime power is _prime_power_period's cached entry. Otherwise, by the
-    CRT, the period mod m is the lcm of the periods of its prime-power
-    parts, each built from its prime's cached entry by Wall's rule: p's
-    exponent is raised by e - 1 when p^2's entry shows t = 1, and only
-    when it shows t >= 2 is the part's own entry taken, so no p^e is
-    formed. The result never leans on the open p^2 scaling conjecture.
-    Only prime powers are cached; a composite m is not.
+    By the CRT the period mod m is the lcm of the periods of its
+    prime-power parts, each a certified minimal period from the cache;
+    the result never leans on the open p^2 scaling conjecture. Only the
+    prime-power parts are cached; m itself is not.
     """
-    if len(m.factors) == 1:
-        return _prime_power_period(*m.factors[0])
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        part = _prime_power_period(p)
-        extra = e - 1  # t = 1: period(p^e) = p^(e-1) * period(p)
-        if extra and _prime_power_period(p, 2).value == part.value:
-            part, extra = _prime_power_period(p, e), 0  # t >= 2: p^e's own entry
-        if extra and merged.get(p, 0) < extra:
-            merged[p] = extra
-        for q, f in part.factors:
-            if q == p:
-                f += extra
+        for q, f in _prime_power_period(p, e).factors:
             if merged.get(q, 0) < f:
                 merged[q] = f
     return FactoredNatural._trusted_map(merged)

@@ -265,44 +265,8 @@ def _chain(chain_summary: tuple[tuple[int, int], ...]) -> list[dict[str, str]]:
     return [{"modulus": _dec(mod), "period": _dec(per)} for mod, per in chain_summary]
 
 
-# json.loads's Python types, by their JSON names
-_JSON_TYPES = {
-    dict: "an object",
-    list: "an array",
-    str: "a string",
-    int: "a number",
-    float: "a number",
-    bool: "a boolean",
-    type(None): "null",
-}
-
-
-def _require_object(obj, keys: set[str], what: str) -> None:
-    """Refuses obj, naming what is wrong, unless it is a JSON object with
-    exactly keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is {_JSON_TYPES[type(obj)]}, not an object")
-    if obj.keys() != keys:
-        key = min(obj.keys() ^ keys)
-        raise ValueError(f"{what} {'has the extra' if key in obj else 'lacks the'} key {key!r}")
-
-
-def _require_list(obj, what: str) -> None:
-    if not isinstance(obj, list):
-        raise ValueError(f"{what} is {_JSON_TYPES[type(obj)]}, not an array")
-
-
-_LEVEL_KEYS = {"modulus", "period"}
-
-
-def _parse_level(level: dict[str, str]) -> tuple[int, int]:
-    _require_object(level, _LEVEL_KEYS, "chain level")
-    return _parse_dec(level["modulus"]), _parse_dec(level["period"])
-
-
 def _parse_chain(levels: list[dict[str, str]]) -> tuple[tuple[int, int], ...]:
-    _require_list(levels, "chain")
-    return tuple(map(_parse_level, levels))
+    return tuple((_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"])) for lvl in levels)
 
 
 # A row's analysis, one JSON key per AnalysisReport field or property:
@@ -416,7 +380,11 @@ def _parse_row(obj: dict) -> SweepRow:
     derived, so the row is refused unless _row_dict gives back the stored
     dict exactly: the same keys, and under each the same JSON value and type.
     """
-    _require_object(obj, _ROW_KEYS, "row")
+    if not isinstance(obj, dict):
+        raise ValueError(f"row is a {type(obj).__name__}, not an object")
+    if obj.keys() != _ROW_KEYS:
+        key = min(obj.keys() ^ _ROW_KEYS)
+        raise ValueError(f"row {'has the extra' if key in obj else 'lacks the'} key {key!r}")
     spec = TowerSpec(k=_parse_dec(obj["k"]), n=_parse_dec(obj["n"]), m=_parse_dec(obj["m"]))
     report = None
     if obj["fn"] is not None:
@@ -436,36 +404,28 @@ def _parse_row(obj: dict) -> SweepRow:
     return row
 
 
-_PAYLOAD_KEYS = {"tool_version", "seed", "grid", "rows", "summary"}
-_GRID_KEYS = {"k", "n", "m"}
-
-
-def _parse_bounds(pair: list[str], what: str) -> tuple[int, int]:
-    _require_list(pair, what)
-    if len(pair) != 2:
-        raise ValueError(f"{what} holds {len(pair)} bounds, not 2")
-    return _parse_dec(pair[0]), _parse_dec(pair[1])
-
-
 def parse_json(text: str) -> SweepReport:
     """Inverse of render_json; validates the stored summary against the rows.
 
-    Malformed input raises ValueError naming what is wrong.
+    Malformed input raises ValueError: a row that is not an object with
+    exactly its keys is named as such, and a missing key or a value of the
+    wrong JSON type elsewhere is named by the error it raised.
     """
     payload = json.loads(text)
-    _require_object(payload, _PAYLOAD_KEYS, "report")
-    grid = payload["grid"]
-    _require_object(grid, _GRID_KEYS, "grid")
-    _require_list(payload["rows"], "rows")
-    report = SweepReport(
-        tool_version=payload["tool_version"],
-        seed=_parse_dec(payload["seed"]),
-        k_range=_parse_bounds(grid["k"], "grid k"),
-        n_range=_parse_bounds(grid["n"], "grid n"),
-        m_range=_parse_bounds(grid["m"], "grid m"),
-        rows=tuple(_parse_row(r) for r in payload["rows"]),
-    )
-    if _summary_dict(report) != payload["summary"]:
+    try:
+        grid = payload["grid"]
+        report = SweepReport(
+            tool_version=payload["tool_version"],
+            seed=_parse_dec(payload["seed"]),
+            k_range=(_parse_dec(grid["k"][0]), _parse_dec(grid["k"][1])),
+            n_range=(_parse_dec(grid["n"][0]), _parse_dec(grid["n"][1])),
+            m_range=(_parse_dec(grid["m"][0]), _parse_dec(grid["m"][1])),
+            rows=tuple(_parse_row(r) for r in payload["rows"]),
+        )
+        summary = payload["summary"]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from exc
+    if _summary_dict(report) != summary:
         raise ValueError("summary does not match row tallies")
     return report
 

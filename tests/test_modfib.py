@@ -774,9 +774,9 @@ def test_chain_depth_validation():
 
 
 def test_pisano_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
-    # the same pretence through pisano_period and build_chain. The parts of
-    # 2 * 7^e are merged by the CRT, and 7^e takes its own entry once the
-    # entry of 49 shows t >= 2; a prime power alone is its own entry
+    # the same pretence through pisano_period and build_chain. Once the
+    # entry of 49 shows t >= 2, 7^e's entry checks 7^3, 7^4, ..., whether
+    # 7^e is a chain modulus alone or a part of 2 * 7^e
     is_period = modfib._is_period
     monkeypatch.setattr(
         modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)

@@ -145,11 +145,11 @@ def _malformed(payload: dict, case: str):
 
 
 MALFORMED = [
-    ("not an object", "report is an array, not an object"),
-    ("no grid", "report lacks the key 'grid'"),
-    ("row a list", "row is an array, not an object"),
-    ("level a string", "chain level is a string, not an object"),
-    ("level without modulus", "chain level lacks the key 'modulus'"),
+    ("not an object", "malformed report: TypeError("),
+    ("no grid", "malformed report: KeyError('grid')"),
+    ("row a list", "row is a list, not an object"),
+    ("level a string", "malformed report: TypeError("),
+    ("level without modulus", "malformed report: KeyError('modulus')"),
 ]
 
 
@@ -159,6 +159,14 @@ def test_parse_json_refuses_a_malformed_report_with_value_error(case, message):
     assert payload["rows"][0]["chain"]
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_json(json.dumps(_malformed(payload, case)))
+
+
+def test_parse_json_reads_a_report_with_extra_top_level_and_grid_keys():
+    rep = run_sweep((2, 2), (4, 4), (1, 1))
+    payload = json.loads(render_json(rep))
+    payload["note"] = "written by hand"
+    payload["grid"]["step"] = "1"
+    assert parse_json(json.dumps(payload)) == rep
 
 
 def _dumps_layout(rep: SweepReport) -> str:
