@@ -54,7 +54,10 @@ from .modfib import fib_mod
 LIFT_BUDGET = 21_000
 
 
+@cache
 def _level_cost(top: int, fn_bits: int) -> int:
+    """A level's charge; it depends on its top exponent and bits(F_n)
+    alone, so each is priced once per process."""
     b = top * fn_bits
     return max(1, top * b * isqrt(isqrt(b**3)) >> 20)
 

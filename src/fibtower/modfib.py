@@ -23,14 +23,16 @@ Wall's rule from its prime's entry, and Wall's exponent t, a property of
 p alone, from p^2's entry: one ladder mod p^2 per prime, whatever the
 exponents. Nothing rests on the open question whether period(p^2) !=
 period(p) for every prime: a Wall-Sun-Sun prime would only give t >= 2,
-and only then are p^3, p^4, ... checked. Any other modulus enters only as
-a chain modulus, in the one chain walk (_walk) that build_chain and
-tower_residue share, the second writer: its prime-power parts must be
-pairwise coprime (checked on their primes' values, not taken from
-is_prime), and by the CRT the lcm of their periods, each built from its
-prime's entry, is then the minimal period of the modulus, with no ladder
-on the full modulus and no second check on a part. pisano_period does not
-cache composite moduli. Each prime was tested once, where it entered: in
+and only then are p^3, p^4, ... checked. Prime-power entries are written
+only for p, p^2, a chain level and an evaluator's part. Any other modulus
+enters only as a chain modulus, in the one chain walk (_walk) that
+build_chain and tower_residue share, the second writer: its prime-power
+parts must be pairwise coprime (checked on their primes' values, not taken
+from is_prime), and by the CRT the lcm of their periods is then the
+minimal period of the modulus, with no ladder on the full modulus and no
+second check on a part. pisano_period merges a composite's period from the
+entries of p and p^2 of each part p^e, by Wall's rule, and writes no entry
+for p^e or the composite. Each prime was tested once, where it entered: in
 factorize or in a validated object. The cache entries and pisano_period's
 results are built from those primes without testing them again
 (FactoredNatural._trusted_map).
@@ -232,14 +234,14 @@ class FactoredNatural:
     """A positive integer together with its complete prime factorization.
 
     The public constructor validates the factors, each prime by is_prime;
-    factorize builds through it. The private _trusted_map skips that, and
-    serves only a map whose every prime was tested where it entered: in
-    _factor_into, or in a validated object or cache entry. Every period
-    cache entry is built through it, by the cache's two writers:
-    _prime_power_period for a prime power, and _walk, from pisano_period,
-    for a composite chain modulus. It keeps the invariants __post_init__
-    checks: primes strictly increasing, exponents positive, and their
-    product the value.
+    factorize builds through it. The private _trusted and _trusted_map skip
+    that, and serve only factors whose every prime was tested where it
+    entered: in _factor_into, or in a validated object or cache entry.
+    Every period cache entry is built through _trusted_map, by the cache's
+    two writers: _prime_power_period for a prime power, and _walk, from
+    pisano_period, for a composite chain modulus. Both keep the invariants
+    __post_init__ checks: primes strictly increasing, exponents positive,
+    and their product the value.
     """
 
     value: int
@@ -263,14 +265,20 @@ class FactoredNatural:
             raise ValueError("factors do not multiply to value")
 
     @classmethod
-    def _trusted_map(cls, factors: dict[int, int]) -> "FactoredNatural":
-        """A prime -> exponent map's object, built without validation;
+    def _trusted(
+        cls, value: int, factors: tuple[tuple[int, int], ...]
+    ) -> "FactoredNatural":
+        """The object of a value and its factors, built without validation;
         every prime must be validated already."""
         self = object.__new__(cls)
-        value, items = _value_and_items(factors)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", items)
+        object.__setattr__(self, "factors", factors)
         return self
+
+    @classmethod
+    def _trusted_map(cls, factors: dict[int, int]) -> "FactoredNatural":
+        """A prime -> exponent map's object, built as _trusted builds it."""
+        return cls._trusted(*_value_and_items(factors))
 
     def factor_map(self) -> dict[int, int]:
         return dict(self.factors)
@@ -278,7 +286,9 @@ class FactoredNatural:
     def power(self, e: int) -> "FactoredNatural":
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        return FactoredNatural._trusted_map({p: f * e for p, f in self.factors})
+        # the primes keep their order; power(0) is 1, with no factors
+        factors = tuple((p, f * e) for p, f in self.factors) if e else ()
+        return FactoredNatural._trusted(self.value**e, factors)
 
 
 def _value_and_items(
@@ -425,12 +435,15 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-# modulus -> its certified minimal period, under one lock. Two writers: a
-# prime power's entry is written only by _prime_power_period, a prime's
-# after its descent and p^e's by Wall's rule from the prime's entry and
-# the p^2 entry's check (and mod p^3 ... p^(t+1) only when t >= 2); any
-# other entry only by the chain walk (_walk), as the lcm of the parts'
-# periods over parts whose primes are pairwise coprime.
+# modulus -> its certified minimal period, under one lock for writers;
+# pisano_period reads it by plain dict gets. Two writers: a prime power's
+# entry is written only by _prime_power_period, a prime's after its
+# descent and p^e's by Wall's rule from the prime's entry and the p^2
+# entry's check (and mod p^3 ... p^(t+1) only when t >= 2), and only for
+# p, p^2, a chain level or an evaluator's part: pisano_period merges a
+# composite's parts from the entries of p and p^2; any other entry only by
+# the chain walk (_walk), as the lcm of the parts' periods over parts
+# whose primes are pairwise coprime.
 # A prime power's entry is a period for any integer p: with A the
 # Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
 # A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
@@ -486,7 +499,7 @@ def _prime_power_period(
         base = _prime_power_period(p)
         if e == 2:
             t = 2 if _is_period(base.value, m) else 1
-        elif _prime_power_period(p, 2).value != base.value:
+        elif _wall_square(p) is not None:
             t = 1
         else:
             t = 2
@@ -500,17 +513,45 @@ def _prime_power_period(
         return _period_cache.setdefault(m, result)
 
 
+def _wall_square(p: int) -> FactoredNatural | None:
+    """p^2's entry when Wall's exponent t of the prime p is 1, else None.
+
+    The one place t is read from the entries, by _prime_power_period for
+    e >= 3 and by pisano_period for e >= 2: t = 1 unless p^2's entry
+    equals p's, and then period(p^e) = p^(e-2) period(p^2) for every
+    e >= 2. Both entries are made by _prime_power_period(p, 2) on a miss.
+    """
+    square = _period_cache.get(p * p) or _prime_power_period(p, 2)
+    return None if square.value == _period_cache[p].value else square
+
+
 def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
     By the CRT the period mod m is the lcm of the periods of its
-    prime-power parts, each a certified minimal period from the cache;
-    the result never leans on the open p^2 scaling conjecture. Only the
-    prime-power parts are cached; m itself is not.
+    prime-power parts; the result never leans on the open p^2 scaling
+    conjecture. A part p^e's period is merged from the certified entry of
+    p when e = 1 and from that of p^2 when e >= 2, p's exponent raised by
+    e - 2 (Wall's rule with t = 1, see _wall_square); only a prime with
+    t >= 2 takes p^e's own entry. No entry is written here but those of
+    p and p^2, by _prime_power_period on a miss: neither p^e nor m is
+    cached.
     """
+    cache = _period_cache
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        for q, f in _prime_power_period(p, e).factors:
+        lift = 0
+        if e == 1:
+            entry = cache.get(p) or _prime_power_period(p)
+        else:
+            entry = _wall_square(p)
+            if entry is None:
+                entry = _prime_power_period(p, e)
+            else:
+                lift = e - 2
+        for q, f in entry.factors:
+            if q == p:
+                f += lift
             if merged.get(q, 0) < f:
                 merged[q] = f
     return FactoredNatural._trusted_map(merged)
@@ -619,13 +660,15 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
     """target's chain, factored, target first: k + 1 moduli, each entry
     after the first the certified minimal period of the entry before it.
 
-    Each level is a cache hit or, on a miss, the CRT lcm from
-    pisano_period of its prime-power parts' entries (see _period_cache).
-    A modulus with more than one part is recorded once the parts are
-    pairwise coprime, checked on the values, not taken from is_prime: the
-    lcm of their primes is their product, since gcd(p^a, q^b) = 1 exactly
-    when gcd(p, q) = 1. By the CRT the lcm is then its period, with no
-    period check here.
+    Each level is a cache hit or, on a miss, made by one of the cache's
+    two writers. A prime power p^e is sent to _prime_power_period(p, e),
+    which records it. Any other modulus takes the CRT lcm from
+    pisano_period, merged from its primes' entries of p and p^2 (see
+    _period_cache); one with more than one part is recorded once the
+    parts are pairwise coprime, checked on the values, not taken from
+    is_prime: the lcm of their primes is their product, since
+    gcd(p^a, q^b) = 1 exactly when gcd(p, q) = 1. By the CRT the lcm is
+    then its period, with no period check here.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
@@ -634,7 +677,9 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
         modulus = moduli[-1]
         m = modulus.value
         period = _cached(m)
-        if period is None:
+        if period is None and len(modulus.factors) == 1:
+            period = _prime_power_period(*modulus.factors[0])
+        elif period is None:
             period = pisano_period(modulus)
             if len(modulus.factors) > 1:
                 primes = [p for p, _ in modulus.factors]

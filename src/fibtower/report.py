@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from itertools import product
@@ -261,11 +262,15 @@ def _parse_opt(text: str | None) -> int | None:
     return None if text is None else _parse_dec(text)
 
 
-def _chain(chain_summary: tuple[tuple[int, int], ...]) -> list[dict[str, str]]:
+# a chain as AnalysisReport.chain_summary holds it: (modulus, period) levels
+_Chain = tuple[tuple[int, int], ...]
+
+
+def _chain(chain_summary: _Chain) -> list[dict[str, str]]:
     return [{"modulus": _dec(mod), "period": _dec(per)} for mod, per in chain_summary]
 
 
-def _parse_chain(levels: list[dict[str, str]]) -> tuple[tuple[int, int], ...]:
+def _parse_chain(levels: list[dict[str, str]]) -> _Chain:
     return tuple((_parse_dec(lvl["modulus"]), _parse_dec(lvl["period"])) for lvl in levels)
 
 
@@ -285,9 +290,14 @@ _ANALYSIS_KEYS = {
     "chain": ("chain_summary", _chain),
 }
 _ROW_KEYS = {"n", "k", "m", "status", *_ANALYSIS_KEYS}
+# The analysis keys render_json encodes row by row (it lays out each chain
+# level once per report) and those a CSV row holds.
+_JSON_ROW_KEYS = tuple(key for key in _ANALYSIS_KEYS if key != "chain")
+_CSV_KEYS = tuple(key for key in _ANALYSIS_KEYS if key in CSV_COLUMNS)
 
 
-def _row_dict(row: SweepRow) -> dict:
+def _row_dict(row: SweepRow, keys: Iterable[str] = _ANALYSIS_KEYS) -> dict:
+    """The row's spec, status and, under each of keys, its encoded analysis."""
     out: dict = {
         "n": _dec(row.spec.n),
         "k": _dec(row.spec.k),
@@ -295,7 +305,8 @@ def _row_dict(row: SweepRow) -> dict:
         "status": row.status,
     }
     rep = row.report
-    for key, (attribute, encode) in _ANALYSIS_KEYS.items():
+    for key in keys:
+        attribute, encode = _ANALYSIS_KEYS[key]
         out[key] = None if rep is None else encode(getattr(rep, attribute))
     return out
 
@@ -321,39 +332,54 @@ def _summary_dict(report: SweepReport) -> dict:
 _PLACEHOLDER = "\0"
 _PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# one chain level at its depth, its two strings already JSON-encoded
+_LEVEL_JSON = '\n        {{\n          "modulus": {},\n          "period": {}\n        }}'
 
 
-def _chain_json(levels: list[dict[str, str]]) -> str:
-    """A non-empty chain as json.dumps(indent=2, sort_keys=True) lays it out
-    under a row's key; its levels hold the keys _chain writes, in sorted order."""
-    return (
-        "["
-        + ",".join(
-            '\n        {\n          "modulus": '
-            + encode_basestring_ascii(level["modulus"])
-            + ',\n          "period": '
-            + encode_basestring_ascii(level["period"])
-            + "\n        }"
-            for level in levels
-        )
-        + "\n      ]"
-    )
+def _chain_layout() -> Callable[[_Chain], str]:
+    """A function that lays out a non-empty chain as
+    json.dumps(indent=2, sort_keys=True) lays it out under a row's key, with
+    the keys _chain writes.
+
+    Its memo lives as long as the function, one report: each level's text
+    is made once, keyed by its modulus (a period is a function of its
+    modulus), and each chain int is encoded by _dec once."""
+    texts: dict[int, str] = {}
+    levels: dict[int, str] = {}
+
+    def text(value: int) -> str:
+        out = texts.get(value)
+        if out is None:
+            out = texts[value] = encode_basestring_ascii(_dec(value))
+        return out
+
+    def level(modulus: int, period: int) -> str:
+        out = levels.get(modulus)
+        if out is None:
+            out = levels[modulus] = _LEVEL_JSON.format(text(modulus), text(period))
+        return out
+
+    def layout(chain: _Chain) -> str:
+        return "[" + ",".join([level(mod, per) for mod, per in chain]) + "\n      ]"
+
+    return layout
 
 
-def _row_json(row: SweepRow) -> str:
-    d = _row_dict(row)
-    chain = d["chain"]
-    if chain:
-        d["chain"] = _PLACEHOLDER
+def _row_json(row: SweepRow, chain_layout: Callable[[_Chain], str]) -> str:
+    d = _row_dict(row, _JSON_ROW_KEYS)
+    chain = None if row.report is None else row.report.chain_summary
+    # null for a refused row, [] for an empty chain
+    d["chain"] = _PLACEHOLDER if chain else chain
     body = _ROW_ENCODER.encode(d)
     if chain:
-        body = body.replace(_PLACEHOLDER_JSON, _chain_json(chain), 1)
+        body = body.replace(_PLACEHOLDER_JSON, chain_layout(chain), 1)
     return "{\n      " + body[1:-1] + "\n    }"
 
 
 def render_json(report: SweepReport) -> str:
     """The report as json.dumps(payload, indent=2, sort_keys=True) + "\\n"
-    gives it, byte for byte; every row is laid out by json's C encoder."""
+    gives it, byte for byte; every row is laid out by json's C encoder, and
+    each chain level once per call (see _chain_layout)."""
     payload = {
         "tool_version": report.tool_version,
         "seed": _dec(report.seed),
@@ -365,11 +391,18 @@ def render_json(report: SweepReport) -> str:
         "rows": _PLACEHOLDER,
         "summary": _summary_dict(report),
     }
-    rows = "[]"
-    if report.rows:
-        rows = "[\n    " + ",\n    ".join(map(_row_json, report.rows)) + "\n  ]"
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    return text.replace(_PLACEHOLDER_JSON, rows, 1) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    head, _, tail = text.partition(_PLACEHOLDER_JSON)
+    if not report.rows:
+        return head + "[]" + tail
+    # one join makes the report, with no string of the rows alone before it
+    layout = _chain_layout()
+    pieces = [head, "[\n    "]
+    for row in report.rows:
+        pieces += (_row_json(row, layout), ",\n    ")
+    pieces[-1] = "\n  ]"
+    pieces.append(tail)
+    return "".join(pieces)
 
 
 def _parse_row(obj: dict) -> SweepRow:
@@ -440,6 +473,6 @@ def render_csv(report: SweepReport) -> str:
 
     lines = [",".join(CSV_COLUMNS)]
     for row in report.rows:
-        d = _row_dict(row)
+        d = _row_dict(row, _CSV_KEYS)
         lines.append(",".join(cell(d[col]) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"

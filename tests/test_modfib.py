@@ -365,6 +365,15 @@ def test_factored_natural_validation():
     assert f.power(3).value == 75025**3
 
 
+def test_power_equals_the_validated_power():
+    # power scales the exponents in place; power(0) is 1, with no factors
+    for f in (factorize(75025), factorize(2**3 * 3 * 3001), factorize(1)):
+        for e in (0, 1, 3):
+            factors = tuple((p, k * e) for p, k in f.factors) if e else ()
+            assert f.power(e) == FactoredNatural(f.value**e, factors), (f, e)
+    assert factorize(75025).power(0) == FactoredNatural(1, ())
+
+
 def test_powers_and_factorize_fib_results_test_no_prime_again(
     cold_fib_factors, monkeypatch
 ):
@@ -790,6 +799,24 @@ def test_pisano_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
     cold_links.clear()
     chains = [build_chain(1, FactoredNatural(7**e, ((7, e),)))[0] for e in exponents]
     assert chains == alone
+
+
+def test_composite_period_with_tall_parts_reads_p_and_p_squared(cold_links, monkeypatch):
+    # once the entries of p and p^2 are cached, a composite's period is
+    # merged from them by Wall's rule: no entry is written for 2^3, 3^3,
+    # 7^5 or the modulus, and no ladder runs
+    for p in (2, 3, 7):
+        modfib._prime_power_period(p, 2)
+    keys = set(cold_links)
+    ladders = []
+    monkeypatch.setattr(modfib, "fib_pair_mod", lambda *args: ladders.append(args))
+    m = 2**3 * 3**3 * 7**5
+    period = pisano_period(FactoredNatural(m, ((2, 3), (3, 3), (7, 5))))
+    assert ladders == []
+    assert set(cold_links) == keys
+    monkeypatch.undo()
+    assert period.value == pisano_period_brute(m) == 7**4 * 144
+    assert period == factorize(period.value)
 
 
 def test_wall_exponent_takes_one_ladder_per_prime(cold_links, monkeypatch):

@@ -205,6 +205,52 @@ def test_render_json_is_json_dumps_layout():
     assert render_json(empty) == _dumps_layout(empty)
 
 
+def test_render_json_encodes_each_chain_int_once(monkeypatch):
+    # rows share chain levels (F_n^(k+m) for several k + m, and periods
+    # below), and each distinct chain int is encoded by _dec once per report
+    rep = run_sweep((2, 4), (26, 30), (1, 3))
+    levels = [level for row in rep.rows for level in row.report.chain_summary]
+    chain_ints = {v for level in levels for v in level}
+    assert len(levels) > len(set(levels))
+    # the other ints render_json encodes through _dec
+    others = {rep.seed, *rep.k_range, *rep.n_range, *rep.m_range}
+    others |= {row.report.predicted_residue for row in rep.rows}
+    others |= {count for tally in rep.summary().values() for count in tally.values()}
+    assert chain_ints.isdisjoint(others)
+    calls = []
+    dec = report._dec
+
+    def spy_dec(value):
+        calls.append(value)
+        return dec(value)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(report, "_dec", spy_dec)
+        text = render_json(rep)
+    chain_calls = [v for v in calls if v in chain_ints]
+    assert sorted(chain_calls) == sorted(chain_ints)
+    assert text == _dumps_layout(rep)
+
+
+def test_render_csv_encodes_no_chain_int():
+    # CSV has no chain column: a chain of values that cannot be encoded
+    # leaves the CSV bytes as they are
+    class Unencodable:
+        def __getattr__(self, name):
+            raise AssertionError(f"a chain value was read: .{name}")
+
+    rep = run_sweep((2, 3), (26, 28), (1, 2))
+    poison = ((Unencodable(), Unencodable()),)
+    poisoned = dataclasses.replace(
+        rep,
+        rows=tuple(
+            SweepRow(row.spec, dataclasses.replace(row.report, chain_summary=poison))
+            for row in rep.rows
+        ),
+    )
+    assert render_csv(poisoned) == render_csv(rep)
+
+
 def test_render_json_layout_of_an_empty_chain(cold_links, monkeypatch):
     # with rho cut to 10 steps, F_91 and F_97 are refused by factoring, so
     # route 3 answers their rows with no chain; F_90 ... F_96 factor
