@@ -43,7 +43,12 @@ nothing re-checks a chain afterwards, and no path takes a claimed period.
 
 factorize trial-divides by the primes up to _TRIAL_LIMIT, then takes a
 composite cofactor that is a perfect power by its exact root, and
-splits any other by Brent rho.
+splits any other by Brent rho. Trial division stops early when what is
+left is a prime that is_prime proves, one past _TRIAL_LIMIT and below
+_MR_PROVEN_LIMIT: no trial prime divides it, so the factors are those
+of exhaustive trial division. So the prime F_47 costs one test, and
+F_59 = 353 * 2710260697 stops after 353, where a full pass would take
+every trial prime up to the square root or _TRIAL_LIMIT.
 factorize_fib trial-divides F_d's primitive part only by the primes
 == +-1 (mod d) (see _rank_primes): no other prime divides the part, so
 the same primes are found and rho gets the same cofactor.
@@ -336,6 +341,8 @@ def _perfect_root(v: int) -> tuple[int, int]:
     power; v > 1 must have no prime factor up to _TRIAL_LIMIT.
 
     So r > _TRIAL_LIMIT, and j is tried only while _TRIAL_LIMIT^j <= v.
+    _factor_into's early stop leaves only a prime, so every cofactor that
+    reaches here has been trial-divided to the end.
     Exact integer roots: isqrt for j = 2, else Newton's method on ints
     from a power of two above the root.
     """
@@ -356,6 +363,12 @@ def _perfect_root(v: int) -> tuple[int, int]:
     return v, 1
 
 
+def _proven_prime(x: int) -> bool:
+    """Whether x is a prime past trial division that is_prime proves:
+    _TRIAL_LIMIT < x < _MR_PROVEN_LIMIT, where its 12 bases are a proof."""
+    return _TRIAL_LIMIT < x < _MR_PROVEN_LIMIT and is_prime(x)
+
+
 def _factor_into(found: dict[int, int], x: int, trial: Iterable[int]) -> None:
     """Add the prime factorization of x >= 1 to found. Trial division by
     trial, increasing primes that must include every prime up to
@@ -363,13 +376,29 @@ def _factor_into(found: dict[int, int], x: int, trial: Iterable[int]) -> None:
     and Brent rho on what remains, under DEFAULT_FACTOR_BUDGET as it
     stands when this runs. A primality test of a cofactor above 512 bits
     is charged (see _primality_cost), and refused before it runs when the
-    charge would pass the budget."""
+    charge would pass the budget.
+
+    Trial division stops at a proven-prime cofactor (_proven_prime), tested
+    before the first trial prime and after each one that divides. The
+    result is exhaustive trial division's, in the same order: such a
+    cofactor exceeds every trial prime, so none divides it, and trial
+    division would leave it whole for is_prime, which proves it there too.
+    Unless what is left becomes such a prime, trial division runs to the
+    end as before, so rho, every budget charge and every refusal stay as
+    they were."""
+    if _proven_prime(x):
+        found[x] = found.get(x, 0) + 1
+        return
     for p in trial:
         if p * p > x:
             break
-        while x % p == 0:
-            found[p] = found.get(p, 0) + 1
-            x //= p
+        if x % p == 0:
+            while x % p == 0:
+                found[p] = found.get(p, 0) + 1
+                x //= p
+            if _proven_prime(x):
+                found[x] = found.get(x, 0) + 1
+                return
     used = 0
     # (cofactor, multiplicity)
     stack = [(x, 1)] if x > 1 else []
@@ -628,7 +657,10 @@ def factorize_fib(n: int) -> FactoredNatural:
                 outcome = tuple(found)
                 fresh = [p for p in found if _cached(p) is None]
                 if fresh:
-                    candidate = factorize(4 * d).factor_map()
+                    # 4d's primes are proved in _factor_into; factorize's
+                    # validating constructor would test them again
+                    candidate: dict[int, int] = {}
+                    _factor_into(candidate, 4 * d, _trial_primes())
                     for p in fresh:
                         _prime_power_period(p, 1, candidate)
             with _fib_factor_cache_lock:

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from decimal import Decimal
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -240,6 +240,121 @@ def test_primitive_parts_are_trial_divided_by_primes_1_or_minus_1_mod_d():
         assert list(modfib._rank_primes(d)) == [p for p in primes if p % d in (1, d - 1)], d
     for d in (1, 2, 5):
         assert modfib._rank_primes(d) == primes
+
+
+def test_factorize_fib_stops_trial_division_at_a_proven_prime(cold_links, monkeypatch):
+    # F_47 = 2971215073 is prime: one test and no trial prime. F_59 = 353 *
+    # 2710260697 stops after 353, F_79 = 157 * 92180471494753 after 157.
+    # The periods descend from 4d's factors without factorize, whose
+    # validating constructor would test those primes again
+    taken = {}
+    rank_primes = modfib._rank_primes
+
+    def spy(d):
+        for q in rank_primes(d):
+            taken.setdefault(d, []).append(q)
+            yield q
+
+    def refuse(x):
+        raise AssertionError("factorize_fib must not call factorize")
+
+    monkeypatch.setattr(modfib, "_rank_primes", spy)
+    monkeypatch.setattr(modfib, "factorize", refuse)
+    for n in (47, 59, 79):
+        assert factorize_fib(n) == factorize(fib(n)), n
+    assert 47 not in taken
+    assert taken[59] == [353] and taken[79] == [157]
+    primes = {2_971_215_073, 353, 2_710_260_697, 157, 92_180_471_494_753}
+    assert set(cold_links) == primes
+    assert_certified(cold_links)
+
+
+def exhaustive_trial(x):
+    """x's factor map by every trial prime up to sqrt(x) or _TRIAL_LIMIT,
+    then is_prime and rho on the cofactor left, as _factor_into worked
+    without its early stop."""
+    found = {}
+    for p in modfib._trial_primes():
+        if p * p > x:
+            break
+        while x % p == 0:
+            found[p] = found.get(p, 0) + 1
+            x //= p
+    if x > 1:
+        modfib._factor_into(found, x, ())
+    return found
+
+
+def primitive_part(d):
+    part = fib(d)
+    for e in range(1, d):
+        if d % e == 0:
+            while (g := gcd(part, fib(e))) > 1:
+                part //= g
+    return part
+
+
+def factor_items(factor, *args):
+    """factor(*args)'s prime -> exponent items in order, or its refusal."""
+    try:
+        return list(factor(*args).items())
+    except FactorBudgetExceeded as exc:
+        return str(exc)
+
+
+def factor_into(x, trial):
+    found = {}
+    modfib._factor_into(found, x, trial)
+    return found
+
+
+def test_factor_into_equals_exhaustive_trial_division():
+    # the parts of F_d for d <= 200 reach 41 digits, past _MR_PROVEN_LIMIT;
+    # rho refuses those of F_173 and F_191 on both paths alike
+    assert primitive_part(199) > modfib._MR_PROVEN_LIMIT
+    refused = []
+    for d in range(1, 201):
+        x = primitive_part(d)
+        got = factor_items(factor_into, x, modfib._rank_primes(d))
+        assert got == factor_items(exhaustive_trial, x), d
+        if isinstance(got, str):
+            refused.append(d)
+    assert refused == [173, 191]
+    ps = (2, 3, 353, 99_991)
+    qs = (100_003, 100_019, 10**12 + 39, 2**61 - 1, 2**89 - 1)
+    assert qs[-1] > modfib._MR_PROVEN_LIMIT and all(map(is_prime, ps + qs))
+    xs = [*qs, *(2 * q for q in qs), *(p * q for p in ps for q in qs)]
+    xs += [q * q for q in qs] + [100_003 * 100_019, 100_003 * (10**12 + 39)]
+    for x in xs:
+        got = factor_items(factor_into, x, modfib._trial_primes())
+        assert got == factor_items(exhaustive_trial, x), x
+
+
+def test_early_stop_tests_only_cofactors_between_the_two_limits(monkeypatch):
+    # trial division takes the first three apart to 1 (each one's largest
+    # prime is squared), and the early stop takes the last one's 100003, so
+    # no cofactor is left for the test after trial division: every is_prime
+    # call is the early stop's
+    tested = []
+    real_is_prime = modfib.is_prime
+
+    def spy(v):
+        tested.append(v)
+        return real_is_prime(v)
+
+    monkeypatch.setattr(modfib, "is_prime", spy)
+    smooth = (2**100 * 3**5 * 99_991**3, 2**90 * 9, prod(range(2, 60)) * 59)
+    for x in (*smooth, 7 * 99_991 * 100_003):
+        found = factor_into(x, modfib._trial_primes())
+        assert prod(p**e for p, e in found.items()) == x
+    assert tested and all(
+        modfib._TRIAL_LIMIT < v < modfib._MR_PROVEN_LIMIT for v in tested
+    )
+    # past _MR_PROVEN_LIMIT trial division runs to the end, and only then is
+    # the prime tested, with its extra rounds
+    tested.clear()
+    found = factor_into(2 * (2**89 - 1), modfib._trial_primes())
+    assert found == {2: 1, 2**89 - 1: 1} and tested == [2**89 - 1]
 
 
 @pytest.fixture
