@@ -12,30 +12,24 @@ by exact division for every m.
 
 Certified periods live in one per-process cache (modulus value -> period)
 under one lock. Every entry is proved the minimal period of its modulus,
-and the cache has two writers. _prime_power_period writes every
-prime-power entry. A prime's period is found there by divisor descent from
-a candidate: period(p) divides p - 1 or 2(p + 1) according to p mod 5. A
-prime of F_n gets a smaller candidate from factorize_fib: F_{4n} == 0 and
-F_{4n+1} == 1 (mod F_n), so period(F_n), and with it period(p), divides 4n
-(Carmichael 1913; Wall 1960), and it is descended from the 4d of the first
-F_d that p divides, never from p - 1 or 2(p + 1). A prime power p^e takes
-Wall's rule from its prime's entry, and Wall's exponent t, a property of
-p alone, from p^2's entry: one ladder mod p^2 per prime, whatever the
-exponents. Nothing rests on the open question whether period(p^2) !=
-period(p) for every prime: a Wall-Sun-Sun prime would only give t >= 2,
-and only then are p^3, p^4, ... checked. Prime-power entries are written
-only for p, p^2, a chain level and an evaluator's part. Any other modulus
-enters only as a chain modulus, in the one chain walk (_walk) that
-build_chain and tower_residue share, the second writer: its prime-power
-parts must be pairwise coprime (checked on their primes' values, not taken
-from is_prime), and by the CRT the lcm of their periods is then the
-minimal period of the modulus, with no ladder on the full modulus and no
-second check on a part. pisano_period merges a composite's period from the
-entries of p and p^2 of each part p^e, by Wall's rule, and writes no entry
-for p^e or the composite. Each prime was tested once, where it entered: in
-factorize or in a validated object. The cache entries and pisano_period's
-results are built from those primes without testing them again
-(FactoredNatural._trusted_map).
+and the cache holds only primes p, prime squares p^2 and chain moduli.
+_prime_power_period writes the entries of p and p^2. A prime's period is
+found there by divisor descent from a candidate: period(p) divides p - 1
+or 2(p + 1) according to p mod 5. A prime of F_n gets a smaller candidate
+from factorize_fib: F_{4n} == 0 and F_{4n+1} == 1 (mod F_n), so
+period(F_n), and with it period(p), divides 4n (Carmichael 1913; Wall
+1960), and it is descended from the 4d of the first F_d that p divides,
+never from p - 1 or 2(p + 1). p^2's entry takes one ladder mod p^2 per
+prime. Every other prime power's period comes from those two entries by
+Wall's rule, applied in _wall alone, and is not cached. The chain walk
+(_walk) that build_chain and tower_residue share writes the chain
+moduli: a level's period is pisano_period's CRT lcm of its parts'
+periods, recorded once the parts are pairwise coprime (checked on their
+primes' values, not taken from is_prime), with no ladder on the full
+modulus and no second check on a part. Each prime was tested once, where
+it entered: in factorize or in a validated object. The cache entries and
+pisano_period's results are built from those primes without testing them
+again (FactoredNatural._trusted_map).
 
 A chain is a plain tuple of moduli, bottom period first and target last,
 each entry certified as the period of the next when the walk reached it;
@@ -55,8 +49,8 @@ the same primes are found and rho gets the same cofactor.
 
 Route 1 is walked and evaluated here, in tower_residue. The residue does
 not rest on the composite entries: each level is evaluated over its
-prime-power parts, each with the part's own entry, which is a period of
-the part whether or not p is prime (see _period_cache), and the
+prime-power parts, each with its period by Wall's rule, which is a period
+of the part whether or not p is prime (see _period_cache), and the
 evaluator checks that every part's period divides the modulus one level
 down and that the parts are coprime (the CRT inverse exists). So the
 residue does not rest on is_prime, which is probabilistic above ~3.3e24;
@@ -78,6 +72,7 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 from .errors import CapExceeded, FactorBudgetExceeded, FibTowerError
@@ -106,7 +101,7 @@ def _trial_primes() -> list[int]:
                     if sieve[p]:
                         sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
                 _trial_sieve = sieve
-                _small_primes = [i for i, v in enumerate(sieve) if v]
+                _small_primes = list(compress(range(_TRIAL_LIMIT + 1), sieve))
     return _small_primes
 
 
@@ -242,9 +237,9 @@ class FactoredNatural:
     factorize builds through it. The private _trusted and _trusted_map skip
     that, and serve only factors whose every prime was tested where it
     entered: in _factor_into, or in a validated object or cache entry.
-    Every period cache entry is built through _trusted_map, by the cache's
-    two writers: _prime_power_period for a prime power, and _walk, from
-    pisano_period, for a composite chain modulus. Both keep the invariants
+    Every period cache entry is built through _trusted_map: by
+    _prime_power_period for p and p^2, and by pisano_period for a chain
+    modulus that _walk records (see _period_cache). Both keep the invariants
     __post_init__ checks: primes strictly increasing, exponents positive,
     and their product the value.
     """
@@ -464,17 +459,12 @@ def _is_period(t: int, m: int) -> bool:
 
 # --------------------------- Pisano periods ---------------------------
 
-# modulus -> its certified minimal period, under one lock for writers;
-# pisano_period reads it by plain dict gets. Two writers: a prime power's
-# entry is written only by _prime_power_period, a prime's after its
-# descent and p^e's by Wall's rule from the prime's entry and the p^2
-# entry's check (and mod p^3 ... p^(t+1) only when t >= 2), and only for
-# p, p^2, a chain level or an evaluator's part: pisano_period merges a
-# composite's parts from the entries of p and p^2; any other entry only by
-# the chain walk (_walk), as the lcm of the parts' periods over parts
-# whose primes are pairwise coprime.
-# A prime power's entry is a period for any integer p: with A the
-# Fibonacci matrix, A^T = I + p^s B (s >= 1) gives
+# modulus -> its certified minimal period: the entries of p and p^2, by
+# _prime_power_period, and those of chain moduli, by _walk. Every write is
+# under the lock; reads are plain dict gets. Any other prime power's period
+# is taken from the entries of p and p^2 by Wall's rule (_wall), which
+# gives a period for any integer p: with A the Fibonacci matrix,
+# A^T = I + p^s B (s >= 1) gives
 # A^(pT) = I + p^(s+1) B + sum_{i>=2} C(p,i) p^(si) B^i == I (mod p^(s+1)).
 # Entries are built by FactoredNatural._trusted_map: their primes are those
 # of a factorize result, of another entry, or p itself, each tested where
@@ -483,15 +473,10 @@ _period_cache: dict[int, FactoredNatural] = {}
 _period_cache_lock = threading.Lock()
 
 
-def _cached(m: int) -> FactoredNatural | None:
-    with _period_cache_lock:
-        return _period_cache.get(m)
-
-
 def _prime_power_period(
     p: int, e: int = 1, candidate: dict[int, int] | None = None
 ) -> FactoredNatural:
-    """Minimal period mod the prime power p^e, factored and cached.
+    """Minimal period mod p (e = 1) or p^2 (e = 2), factored and cached.
 
     p must be a prime tested where it entered: in _factor_into, or in a
     validated object. For e = 1 the period is found by descent from
@@ -499,15 +484,11 @@ def _prime_power_period(
     p == +-1 (mod 5), 2(p + 1) when p == +-2, and 20 for p = 5. Valid
     indices are exactly the multiples of the true period, so stripping
     prime factors while the property survives converges to it regardless
-    of the order primes are tried. For e >= 2 it is Wall's rule (Wall
-    1960): with t the largest j <= e for which period(p) is a period mod
-    p^j, it is p^(e-t) * period(p). t depends on p alone, and is read
-    from p^2's entry, one check mod p^2 per prime: t = 1 unless that
-    entry is period(p). Only then, which no known prime gives, are p^3,
-    p^4, ... checked, up to the first that fails.
+    of the order primes are tried. For e = 2 it is period(p) when that is
+    a period mod p^2, else p * period(p) (Wall 1960): one check mod p^2.
     """
     m = p**e
-    hit = _cached(m)
+    hit = _period_cache.get(m)
     if hit is not None:
         return hit
     if e == 1:
@@ -525,62 +506,60 @@ def _prime_power_period(
                 cur //= q
                 fac[q] -= 1
     else:
-        base = _prime_power_period(p)
-        if e == 2:
-            t = 2 if _is_period(base.value, m) else 1
-        elif _wall_square(p) is not None:
-            t = 1
-        else:
-            t = 2
-            while t < e and _is_period(base.value, p ** (t + 1)):
-                t += 1
+        base = _period_cache.get(p) or _prime_power_period(p)
         fac = base.factor_map()
-        fac[p] = fac.get(p, 0) + e - t
+        if not _is_period(base.value, m):
+            fac[p] = fac.get(p, 0) + 1
     # fac's primes are p and those of a factorize result or of p's entry
     result = FactoredNatural._trusted_map(fac)
     with _period_cache_lock:
         return _period_cache.setdefault(m, result)
 
 
-def _wall_square(p: int) -> FactoredNatural | None:
-    """p^2's entry when Wall's exponent t of the prime p is 1, else None.
+def _wall(p: int, e: int) -> tuple[FactoredNatural, int]:
+    """(entry, j) with period(p^e) = entry.value * p^j for the prime p,
+    where p divides entry whenever j > 0: the one place Wall's rule is
+    applied.
 
-    The one place t is read from the entries, by _prime_power_period for
-    e >= 3 and by pisano_period for e >= 2: t = 1 unless p^2's entry
-    equals p's, and then period(p^e) = p^(e-2) period(p^2) for every
-    e >= 2. Both entries are made by _prime_power_period(p, 2) on a miss.
+    With t the largest i <= e for which period(p) is a period mod p^i,
+    period(p^e) = p^(e-t) period(p) (Wall 1960). entry is p's for e = 1.
+    For e >= 2, t depends on p alone and is read from p^2's entry: t = 1
+    unless it equals p's, and with t = 1 entry is p^2's and j = e - 2.
+    Only when t >= 2, which no known prime gives (a Wall-Sun-Sun prime
+    would), are p^3, p^4, ... checked, up to the first that fails, and
+    entry is period(p^e) itself, with j = 0. Entries missing for p or p^2
+    are made by _prime_power_period; none is written for p^e.
     """
-    square = _period_cache.get(p * p) or _prime_power_period(p, 2)
-    return None if square.value == _period_cache[p].value else square
+    cache = _period_cache
+    entry = cache.get(p) or _prime_power_period(p)
+    if e == 1:
+        return entry, 0
+    square = cache.get(p * p) or _prime_power_period(p, 2)
+    if square.value != entry.value:
+        return square, e - 2
+    t = 2
+    while t < e and _is_period(entry.value, p ** (t + 1)):
+        t += 1
+    fac = entry.factor_map()
+    fac[p] = fac.get(p, 0) + e - t
+    return FactoredNatural._trusted_map(fac), 0
 
 
 def pisano_period(m: FactoredNatural) -> FactoredNatural:
     """Pisano period of a factored modulus, returned factored.
 
     By the CRT the period mod m is the lcm of the periods of its
-    prime-power parts; the result never leans on the open p^2 scaling
-    conjecture. A part p^e's period is merged from the certified entry of
-    p when e = 1 and from that of p^2 when e >= 2, p's exponent raised by
-    e - 2 (Wall's rule with t = 1, see _wall_square); only a prime with
-    t >= 2 takes p^e's own entry. No entry is written here but those of
-    p and p^2, by _prime_power_period on a miss: neither p^e nor m is
-    cached.
+    prime-power parts, each merged from _wall's entry with p's exponent
+    raised by j; the result never leans on the open p^2 scaling
+    conjecture. No entry is written here but those of p and p^2, by
+    _prime_power_period on a miss.
     """
-    cache = _period_cache
     merged: dict[int, int] = {}
     for p, e in m.factors:
-        lift = 0
-        if e == 1:
-            entry = cache.get(p) or _prime_power_period(p)
-        else:
-            entry = _wall_square(p)
-            if entry is None:
-                entry = _prime_power_period(p, e)
-            else:
-                lift = e - 2
+        entry, j = _wall(p, e)
         for q, f in entry.factors:
             if q == p:
-                f += lift
+                f += j
             if merged.get(q, 0) < f:
                 merged[q] = f
     return FactoredNatural._trusted_map(merged)
@@ -655,7 +634,7 @@ def factorize_fib(n: int) -> FactoredNatural:
                 outcome = f"{exc} of F_{d}"
             else:
                 outcome = tuple(found)
-                fresh = [p for p in found if _cached(p) is None]
+                fresh = [p for p in found if p not in _period_cache]
                 if fresh:
                     # 4d's primes are proved in _factor_into; factorize's
                     # validating constructor would test them again
@@ -692,15 +671,12 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
     """target's chain, factored, target first: k + 1 moduli, each entry
     after the first the certified minimal period of the entry before it.
 
-    Each level is a cache hit or, on a miss, made by one of the cache's
-    two writers. A prime power p^e is sent to _prime_power_period(p, e),
-    which records it. Any other modulus takes the CRT lcm from
-    pisano_period, merged from its primes' entries of p and p^2 (see
-    _period_cache); one with more than one part is recorded once the
-    parts are pairwise coprime, checked on the values, not taken from
-    is_prime: the lcm of their primes is their product, since
-    gcd(p^a, q^b) = 1 exactly when gcd(p, q) = 1. By the CRT the lcm is
-    then its period, with no period check here.
+    Each level is a cache hit or, on a miss, the CRT lcm from
+    pisano_period, recorded under the lock once the level's parts are
+    pairwise coprime: checked on the values, not taken from is_prime, as
+    the lcm of their primes being their product, since gcd(p^a, q^b) = 1
+    exactly when gcd(p, q) = 1. By the CRT the lcm is then its period,
+    with no period check here.
     """
     if k < 1:
         raise ValueError("chain depth must be at least 1")
@@ -708,19 +684,16 @@ def _walk(k: int, target: FactoredNatural) -> list[FactoredNatural]:
     for _ in range(k):
         modulus = moduli[-1]
         m = modulus.value
-        period = _cached(m)
-        if period is None and len(modulus.factors) == 1:
-            period = _prime_power_period(*modulus.factors[0])
-        elif period is None:
+        period = _period_cache.get(m)
+        if period is None:
             period = pisano_period(modulus)
-            if len(modulus.factors) > 1:
-                primes = [p for p, _ in modulus.factors]
-                if lcm(*primes) != prod(primes):
-                    raise FibTowerError(
-                        f"a part of a {m.bit_length()}-bit chain modulus shares a factor"
-                    )
-                with _period_cache_lock:
-                    period = _period_cache.setdefault(m, period)
+            primes = [p for p, _ in modulus.factors]
+            if lcm(*primes) != prod(primes):
+                raise FibTowerError(
+                    f"a part of a {m.bit_length()}-bit chain modulus shares a factor"
+                )
+            with _period_cache_lock:
+                period = _period_cache.setdefault(m, period)
         moduli.append(period)
     return moduli
 
@@ -745,11 +718,11 @@ def tower_residue(spec, modulus: int | FactoredNatural) -> int:
     period(P), so the chain is evaluated bottom-up: the bottom level is
     F_n^m mod the chain's lowest modulus, and every level above is
     evaluated over its prime-power parts P, F mod P at the index below
-    reduced mod P's own cache entry (a period of P even were P's base
-    composite, see _period_cache), the parts joined by the CRT (Garner's
-    form). A level then costs sum(bits(period) * M(bits(part))) over its
-    parts instead of one evaluation mod the whole modulus at an index as
-    large as its period.
+    reduced mod P's period by Wall's rule (_wall; a period of P even were
+    P's base composite, see _period_cache), the parts joined by the CRT
+    (Garner's form). A level then costs sum(bits(period) * M(bits(part)))
+    over its parts instead of one evaluation mod the whole modulus at an
+    index as large as its period.
 
     Raises as build_chain does, and FibTowerError when a part's period does
     not divide the modulus one level down (the index would not be
@@ -765,7 +738,8 @@ def tower_residue(spec, modulus: int | FactoredNatural) -> int:
     for level in reversed(moduli[: k - 1]):
         x, product = 0, 1
         for p, e in level.factors:
-            part, period = p**e, _prime_power_period(p, e).value
+            entry, j = _wall(p, e)
+            part, period = p**e, entry.value * p**j
             if below % period:
                 raise FibTowerError(
                     f"period of a {part.bit_length()}-bit chain part does not "

@@ -728,8 +728,9 @@ def test_prime_power_chain_never_checks_its_modulus(cold_links, monkeypatch):
 def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
     # a composite chain modulus, and a tower evaluated over 216 = 8 * 27:
     # every period check runs inside _prime_power_period(p, e), either mod
-    # p by descent (e = 1) or at index pi(p) mod a power p^j, 2 <= j <= e,
-    # by Wall's rule; none in _walk
+    # p by descent (e = 1) or at index pi(p) mod p^2 (e = 2); none in _walk.
+    # The parts 8 and 27 take their periods by Wall's rule from the entries
+    # of 2, 4, 3 and 9, and get no entry of their own
     frames = []
     calls = []
     is_period, period = modfib._is_period, modfib._prime_power_period
@@ -759,6 +760,7 @@ def test_chain_walks_check_periods_only_in_certify(cold_links, monkeypatch):
             assert t == cold_links[p].value, modulus
     assert any(e >= 2 for (_, e), _, _ in calls)
     assert 216 in cold_links
+    assert not {8, 27} & set(cold_links)
 
 
 def test_certify_period_refuses_an_invalid_candidate(cold_links):
@@ -833,16 +835,6 @@ def test_prime_power_periods_are_certified_minimal():
                 assert fib_pair_mod(t.value // q, m) != (0, 1), (m, q)
 
 
-def test_prime_power_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
-    # no prime is known with pi(p^2) = pi(p); pretend 7 is one, so t = 2
-    is_period = modfib._is_period
-    monkeypatch.setattr(
-        modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)
-    )
-    periods = [modfib._prime_power_period(7, e).value for e in (2, 3, 4)]
-    assert periods == [16, 7 * 16, 7**2 * 16]
-
-
 def test_tall_prime_power_chain_checks_only_small_moduli(cold_links, monkeypatch):
     # pi(5^e) = 4 * 5^e and pi(4 * 5^e) = 12 * 5^e, from ladders mod 2, 4, 5
     # and 25 alone
@@ -898,9 +890,9 @@ def test_chain_depth_validation():
 
 
 def test_pisano_period_when_pi_p_holds_mod_p_squared(cold_links, monkeypatch):
-    # the same pretence through pisano_period and build_chain. Once the
-    # entry of 49 shows t >= 2, 7^e's entry checks 7^3, 7^4, ..., whether
-    # 7^e is a chain modulus alone or a part of 2 * 7^e
+    # no prime is known with pi(p^2) = pi(p); pretend 7 is one, so t = 2.
+    # Once the entry of 49 shows t >= 2, Wall's rule checks 7^3, 7^4, ...,
+    # whether 7^e is a chain modulus alone or a part of 2 * 7^e
     is_period = modfib._is_period
     monkeypatch.setattr(
         modfib, "_is_period", lambda t, m: (t, m) == (16, 49) or is_period(t, m)

@@ -203,13 +203,15 @@ def test_analyze_beyond_grid_scale():
 
 
 def test_chain_part_period_must_divide_the_level_below(cold_links):
-    # 60 is a period of 8, but not the one the walk lcm'd into the period 72
-    # of 216 = 8 * 27, so the index mod 72 does not determine F mod 8
+    # 30 is a period of 4, and Wall's rule lifts it to 60 for the part 8 of
+    # 216 = 8 * 27: a period of 8, but not the one the walk lcm'd into the
+    # period 72 of 216, so the index mod 72 does not determine F mod 8
     spec = TowerSpec(2, 5, 1)
     tower_residue(spec, 216)
     assert cold_links[216].value == 72
+    assert fib_pair_mod(30, 4) == (0, 1)
     assert fib_pair_mod(60, 8) == (0, 1)
-    cold_links[8] = factorize(60)
+    cold_links[4] = factorize(30)
     with pytest.raises(FibTowerError, match="does not divide") as exc:
         tower_residue(spec, 216)
     assert not isinstance(exc.value, ValueError)
