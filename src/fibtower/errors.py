@@ -9,15 +9,12 @@ class FibTowerError(Exception):
 
 class BudgetExceeded(FibTowerError):
     """A computation was refused for exceeding a budget; this class itself
-    names the exact-index budget, the subclasses name the others."""
+    names the exact-index budget and analyze's (tower.ANALYZE_BUDGET), the
+    subclasses name the others."""
 
 
 class FactorBudgetExceeded(BudgetExceeded):
     """A composite cofactor resisted the budgeted factoring effort."""
-
-
-class LiftBudgetExceeded(BudgetExceeded):
-    """A route-3 lift would cost more than its budget allows."""
 
 
 class CapExceeded(BudgetExceeded):

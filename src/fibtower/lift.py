@@ -23,57 +23,24 @@ goes up the tower, and no number above F is ever formed. The route never
 factors F and takes no Pisano period: it shares only fib_mod with the
 chain route.
 
-lift_unit charges the tower against LIFT_BUDGET before any arithmetic.
-One check can fail, raising FibTowerError: (-1)^n F'^2 == 1 (mod F). What
-checks the two terms against the full expansion lies outside this module:
-the lemma checker lemmas.truncated_expansion_check (against fib(n r)),
-the oracle suite (exact values) and the tests that compare this route
-with the chain route. This module does not import lemmas, so that the
-lemma is never checked against route 3's own arithmetic.
+lift_unit takes no budget of its own: tower.analyze prices the whole
+analysis, this route's k - 1 products mod F among it, before it calls
+lift_unit. One check can fail, raising FibTowerError: (-1)^n F'^2 == 1
+(mod F). What checks the two terms against the full expansion lies
+outside this module: the lemma checker lemmas.truncated_expansion_check
+(against fib(n r)), the oracle suite (exact values) and the tests that
+compare this route with the chain route. This module does not import
+lemmas, so that the lemma is never checked against route 3's own
+arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt
 
-from .errors import FibTowerError, LiftBudgetExceeded
+from .errors import FibTowerError
 from .fibcore import fib
 from .modfib import fib_mod
-
-# Lift units one tower may take. Level i from the top of a tower
-# (k, n, m), i = 1 .. k-1, is charged E * b^1.75 >> 20 with E = k + m + 1 - i
-# and b = E * bits(F_n), the size of F_n^E. The charge was set when route
-# 3 carried the tower mod F_n^E and a level summed E - 1 terms: a 2-core
-# x86-64 host (CPython 3.11.7) did 9 700 to 34 000 units a second on
-# towers charged 1 300 to 63 000 units. Route 3 now carries the unit mod
-# F_n alone and forms no F_n^E, so the charge prices numbers the route
-# never forms. It is kept unchanged as the admission policy: re-pricing
-# it changes which towers are refused, and so their exit codes, and is a
-# policy change of its own.
-LIFT_BUDGET = 21_000
-
-
-@cache
-def _level_cost(top: int, fn_bits: int) -> int:
-    """A level's charge; it depends on its top exponent and bits(F_n)
-    alone, so each is priced once per process."""
-    b = top * fn_bits
-    return max(1, top * b * isqrt(isqrt(b**3)) >> 20)
-
-
-def _charge(spec, fn_bits: int) -> int:
-    """The tower's charge, level by level from the top; raises
-    LiftBudgetExceeded at the first level that passes LIFT_BUDGET."""
-    charge, top = 0, spec.k + spec.m
-    for level in range(1, spec.k):
-        charge += _level_cost(top + 1 - level, fn_bits)
-        if charge > LIFT_BUDGET:
-            raise LiftBudgetExceeded(
-                f"lift budget {LIFT_BUDGET} exceeded at level {level} "
-                f"of {spec.k - 1} lifting {spec} mod F_{spec.n}^{top}"
-            )
-    return charge
 
 
 @cache
@@ -87,14 +54,13 @@ def lift_unit(spec) -> int:
     """(G(k, n, m) / F_n^(k+m-1)) mod F_n by route 3 (see the module
     docstring); 0 when F_n = 1.
 
-    Raises LiftBudgetExceeded, before any arithmetic, when the tower's
-    charge passes LIFT_BUDGET, and FibTowerError when Cassini's check fails.
+    It takes k - 1 products mod F_n and no budget, as tower_residue takes
+    none; raises FibTowerError when Cassini's check fails.
     """
     n = spec.n
     fn = fib(n)
     if fn == 1:
         return 0
-    _charge(spec, fn.bit_length())
     fn1, sign = fib(n - 1), (-1) ** n
     if (sign * fn1**2 - 1) % fn:
         raise FibTowerError(f"(-1)^{n} F_{n - 1}^2 is not 1 mod F_{n}")

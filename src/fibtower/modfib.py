@@ -80,7 +80,8 @@ from .fibcore import fib
 
 # rho's budget and the seed of its cycle parameters, set here alone:
 # _factor_into and _brent_rho read both when they run. The seed is fixed so
-# runs are reproducible, and recorded in sweep reports.
+# runs are reproducible, and recorded in sweep reports. The budget is
+# counted in _product_cost units, as tower.ANALYZE_BUDGET is.
 DEFAULT_FACTOR_BUDGET = 2_000_000
 DEFAULT_FACTOR_SEED = 2_971_215_073
 
@@ -168,6 +169,12 @@ def _digits(n: int) -> int:
     return Decimal(n).adjusted() + 1
 
 
+def _product_cost(bits: int) -> int:
+    """Budget units of one product mod a number of the given bit length:
+    1 up to 512 bits, and growing with the square of the size above."""
+    return max(1, bits * bits >> 18)
+
+
 def _budget_exhausted(n: int) -> FactorBudgetExceeded:
     return FactorBudgetExceeded(
         f"rho budget {DEFAULT_FACTOR_BUDGET} exhausted on a {_digits(n)}-digit cofactor"
@@ -178,15 +185,14 @@ def _brent_rho(n: int, used: int) -> tuple[int, int]:
     """One nontrivial factor of odd composite n via Brent's cycle method.
 
     used counts the budget units already spent by the same factorization.
-    One iteration costs 1 unit below 512 bits and grows with the square of
-    the size of n above that, as a multiplication mod n does. Returns
+    One iteration costs _product_cost(bits(n)), a product mod n. Returns
     (factor, used) with this call's units added; raises
     FactorBudgetExceeded once used passes DEFAULT_FACTOR_BUDGET. The cycle
     parameters come from DEFAULT_FACTOR_SEED, so the result is
     deterministic, and the same whatever used it starts from: used decides
     only whether it raises.
     """
-    cost = max(1, n.bit_length() ** 2 >> 18)
+    cost = _product_cost(n.bit_length())
     for attempt in range(64):
         rng = random.Random(f"rho:{DEFAULT_FACTOR_SEED}:{Decimal(n)}:{attempt}")
         y = rng.randrange(1, n)
@@ -324,11 +330,11 @@ def factorize(x: int) -> FactoredNatural:
 
 def _primality_cost(v: int) -> int:
     """Budget units of is_prime(v): none up to 512 bits; above, each of its
-    rounds, a pow mod v, at rho's per-iteration weight per exponent bit."""
+    rounds, a pow mod v, at one _product_cost per exponent bit."""
     bits = v.bit_length()
     if bits <= 512:
         return 0
-    return bits * (bits * bits >> 18) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
+    return bits * _product_cost(bits) * (len(_MR_BASES) + _MR_EXTRA_ROUNDS)
 
 
 def _perfect_root(v: int) -> tuple[int, int]:

@@ -5,11 +5,11 @@ x -> F_{n*x}; its k-th term is divisible by F_n^(k+m-1), and the quotient
 mod F_n follows a five-way piecewise formula in the parities of k and the
 divisibility of n by 3 and 4. The tower value itself is astronomically
 large for k >= 3, so it is never computed here: this module holds the
-spec, the case formula, analyze and the parity check. analyze takes the
-unit from route 3 (fibtower.lift), which carries it up the tower mod F_n
-and never factors F_n, and builds route 1's Pisano chain only for its
-report; the parity check evaluates that chain
-(fibtower.modfib.tower_residue) mod 8.
+spec, the case formula, analyze and the parity check. analyze prices
+each spec against ANALYZE_BUDGET, takes the unit from route 3
+(fibtower.lift), which carries it up the tower mod F_n and never factors
+F_n, and builds route 1's Pisano chain only for its report; the parity
+check evaluates that chain (fibtower.modfib.tower_residue) mod 8.
 """
 
 from __future__ import annotations
@@ -17,10 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FactorBudgetExceeded, FibTowerError
+from .errors import BudgetExceeded, FactorBudgetExceeded, FibTowerError
 from .fibcore import fib
 from .lift import lift_unit
-from .modfib import build_chain, factorize_fib, tower_residue
+from .modfib import _product_cost, build_chain, factorize_fib, tower_residue
+
+# Budget units one analyze may take, in modfib._product_cost units, as rho's
+# budget is counted. A spec (k, n, m) is priced k + 1 products mod
+# F_n^(k+m), the top of the report's chain: the chain and its rendering
+# handle k moduli of at most that size, while route 3's k - 1 products and
+# the prediction's pow are taken mod F_n alone. The value sits just above
+# the price of (2, 208414, 1), 2 156 226, the highest among the towers of
+# height k >= 2 that the earlier per-level lift charge admitted, so every
+# one of them is still admitted.
+ANALYZE_BUDGET = 2_200_000
 
 
 @dataclass(frozen=True)
@@ -166,26 +176,35 @@ def analyze(spec: TowerSpec) -> AnalysisReport:
     predicted residue 0, so matching with exact = False is the expected
     outcome there, not a failure.
 
+    After fib(n), and before any other arithmetic, a spec with F_n > 1 is
+    priced (k + 1) * _product_cost((k + m) * bits(F_n)) and refused with
+    BudgetExceeded, naming the price, when that passes ANALYZE_BUDGET.
     The unit comes from route 3 alone: lift_unit carries it up the tower
-    mod F_n without factoring F_n, and raises LiftBudgetExceeded, which
-    propagates, when the tower is charged past LIFT_BUDGET. Only an
-    admitted spec factors F_n: factorize_fib factors it part by part, each
-    primitive part and each chain period under its own
+    mod F_n without factoring F_n. factorize_fib factors F_n part by part,
+    each primitive part and each chain period under its own
     DEFAULT_FACTOR_BUDGET, and build_chain certifies the chain for
     F_n^(k+m), which fills the report's chain and nothing else. When that
     raises FactorBudgetExceeded, naming the first refused part F_d, the
     chain is empty. A refused part is factored once per process: a
     multiple of d is refused without factoring it again.
     """
-    n = spec.n
+    k, n, m = spec.k, spec.n, spec.m
     fn = fib(n)
+    if fn > 1:
+        top_bits = (k + m) * fn.bit_length()
+        price = (k + 1) * _product_cost(top_bits)
+        if price > ANALYZE_BUDGET:
+            raise BudgetExceeded(
+                f"analysis budget {ANALYZE_BUDGET} exceeded: {spec} is priced "
+                f"{price} units, {k + 1} products mod F_{n}^{k + m} of up to {top_bits} bits"
+            )
     case, predicted = predicted_residue(spec)
     if fn == 1:
         unit, chain_summary = 0, ()
     else:
         unit = lift_unit(spec)
         try:
-            moduli = build_chain(spec.k, factorize_fib(n).power(spec.k + spec.m))
+            moduli = build_chain(k, factorize_fib(n).power(k + m))
         except FactorBudgetExceeded:
             chain_summary = ()
         else:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import fibtower
 from fibtower import (
+    ANALYZE_BUDGET,
     DEFAULT_ORACLE_MAX_INDEX,
-    LIFT_BUDGET,
+    BudgetExceeded,
     FibTowerError,
-    LiftBudgetExceeded,
     TowerSpec,
     analyze,
     factorize_fib,
@@ -87,19 +87,27 @@ def test_lift_factors_nothing_and_takes_no_pisano_period(monkeypatch):
         assert lift_unit(spec) == predicted_residue(spec)[1], spec
 
 
-def test_lift_budget_refuses_before_any_level_arithmetic(monkeypatch):
-    # the charge reads F_n's bit length alone
+def test_analyze_refuses_before_any_arithmetic_but_fib(monkeypatch):
+    # the price reads F_n's bit length alone; a k = 1 tower is priced too
     def no_arithmetic(*args):
         raise AssertionError("arithmetic ran on a refused tower")
 
-    monkeypatch.setattr(lift, "fib", lambda i: fib(i) if i == 500 else no_arithmetic())
-    monkeypatch.setattr(lift, "fib_mod", no_arithmetic)
-    spec = TowerSpec(3, 500, 200)
-    with pytest.raises(LiftBudgetExceeded) as err:
-        lift_unit(spec)
-    assert str(err.value) == (
-        f"lift budget {LIFT_BUDGET} exceeded at level 1 of 2 lifting {spec} mod F_500^203"
-    )
+    with monkeypatch.context() as patch:
+        for name in ("predicted_residue", "lift_unit", "factorize_fib"):
+            patch.setattr(tower, name, no_arithmetic)
+        for spec, top in [
+            (TowerSpec(3, 3000000, 1), "F_3000000^4 of up to 8330900 bits"),
+            (TowerSpec(3, 1000, 2000), "F_1000^2003 of up to 1390082 bits"),
+            (TowerSpec(1, 5, 10**6), "F_5^1000001 of up to 3000003 bits"),
+        ]:
+            with pytest.raises(BudgetExceeded) as err:
+                analyze(spec)
+            assert str(err.value).startswith(
+                f"analysis budget {ANALYZE_BUDGET} exceeded: {spec} is priced "
+            ), spec
+            assert str(err.value).endswith(f" units, {spec.k + 1} products mod {top}")
+    rep = analyze(TowerSpec(1, 4001, 40))
+    assert rep.match and rep.unit_residue == 1 and rep.chain_summary == ()
 
 
 def test_lift_checks_that_cassinis_unit_is_1_mod_f_n(monkeypatch):
@@ -121,47 +129,60 @@ def test_analyze_takes_every_residue_from_route_3(monkeypatch):
     assert all(rep.match and rep.chain_summary for rep in reports)
     assert reports[0].exact and len(reports[0].chain_summary) == 3
 
-    # a refused spec is refused by route 3 alone, before F_n is factored
+    # a refused spec is refused on its price, before F_n is factored
     factored = []
     monkeypatch.setattr(tower, "factorize_fib", factored.append)
-    monkeypatch.setattr(lift, "LIFT_BUDGET", 0)
-    for spec in specs:
-        with pytest.raises(LiftBudgetExceeded) as err:
+    monkeypatch.setattr(tower, "ANALYZE_BUDGET", 0)
+    for spec, price, bits in zip(specs, (164, 4, 4, 4, 40), (3309, 8, 80, 248, 1664)):
+        with pytest.raises(BudgetExceeded) as err:
             analyze(spec)
         assert str(err.value) == (
-            f"lift budget 0 exceeded at level 1 of 2 lifting {spec} mod "
-            f"F_{spec.n}^{spec.k + spec.m}"
+            f"analysis budget 0 exceeded: {spec} is priced {price} units, "
+            f"4 products mod F_{spec.n}^{spec.k + spec.m} of up to {bits} bits"
         )
     assert factored == []
 
 
+class Admitted(Exception):
+    """Raised in place of the analysis of a spec that its price admits."""
+
+
 @pytest.mark.parametrize(
-    "k, n, m, charge, admitted",
+    "k, n, m, price, admitted",
     [
-        (3, 5, 1100, 3028, True),
-        (2, 90, 300, 8628, True),
-        (30, 1000, 1, 9897, True),
-        (3, 100000, 1, 18622, True),
-        (300, 15, 1, 28207, False),
-        (2, 4001, 40, 29483, False),
-        (3, 500, 200, 116528, False),
-        (1000, 5, 1, 310126, False),
-        (2, 5, 100000, 366740590, False),
+        (3, 5, 1100, 164, True),
+        (2, 90, 300, 4011, True),
+        (30, 1000, 1, 54715, True),
+        (3, 100000, 1, 1176680, True),
+        (300, 15, 1, 10234, True),
+        (2, 4001, 40, 155679, True),
+        (3, 500, 200, 75276, True),
+        (1000, 5, 1, 34034, True),
+        (2, 5, 100000, 1030008, True),
+        (2, 208414, 1, 2156226, True),
+        (10000, 5, 1, 34333433, False),
+        (3, 1000, 2000, 29484984, False),
+        (3, 137000, 1, 2208472, False),
+        (1, 5, 10**6, 68664688, False),
     ],
 )
-def test_lift_charges_a_level_by_the_size_of_f_n_to_the_e(
-    monkeypatch, k, n, m, charge, admitted
+def test_analyze_prices_k_plus_1_products_mod_f_n_to_the_k_plus_m(
+    monkeypatch, k, n, m, price, admitted
 ):
-    # the charge alone: _charge does no arithmetic on F_n
-    spec, fn_bits = TowerSpec(k, n, m), fib(n).bit_length()
-    with monkeypatch.context() as patch:
-        patch.setattr(lift, "LIFT_BUDGET", charge)
-        assert lift._charge(spec, fn_bits) == charge
-    if admitted:
-        lift._charge(spec, fn_bits)
-    else:
-        with pytest.raises(LiftBudgetExceeded):
-            lift._charge(spec, fn_bits)
+    # the price alone: an admitted spec stops where its analysis would start
+    def admit(spec):
+        raise Admitted
+
+    monkeypatch.setattr(tower, "predicted_residue", admit)
+    spec = TowerSpec(k, n, m)
+    with pytest.raises(Admitted if admitted else BudgetExceeded):
+        analyze(spec)
+    monkeypatch.setattr(tower, "ANALYZE_BUDGET", price)
+    with pytest.raises(Admitted):
+        analyze(spec)
+    monkeypatch.setattr(tower, "ANALYZE_BUDGET", price - 1)
+    with pytest.raises(BudgetExceeded, match=f" is priced {price} units, {k + 1} products "):
+        analyze(spec)
 
 
 def test_lift_of_a_tall_tower_agrees_with_the_chain_route():

@@ -14,8 +14,8 @@ from decimal import Decimal
 import pytest
 
 from fibtower import (
+    ANALYZE_BUDGET,
     CSV_COLUMNS,
-    LIFT_BUDGET,
     AnalysisReport,
     SweepReport,
     SweepRow,
@@ -190,8 +190,8 @@ def test_render_json_is_json_dumps_layout():
     text = render_json(rep)
     assert text == _dumps_layout(rep)
     assert render_json(parse_json(text)) == text
-    # rows route 3 refuses at once: null under every analysis key
-    rep = run_sweep((2, 3), (500, 500), (200, 200))
+    # rows analyze refuses at once: null under every analysis key
+    rep = run_sweep((2, 3), (500, 500), (2000, 2000))
     assert [row.status for row in rep.rows] == ["budget_exceeded"] * 2
     text = render_json(rep)
     assert text == _dumps_layout(rep)
@@ -355,17 +355,17 @@ def test_decimal_to_int_matches_decimal():
 
 
 # F_500 is refused by factoring (rho exhausts its budget on a 33-digit
-# cofactor of its primitive part), so analyze answers it by route 3 alone,
-# which at m = 200 is over its own budget.
-REFUSED_BY_ROUTE_3 = (
-    f"lift budget {LIFT_BUDGET} exceeded at level 1 of 2 lifting "
-    "TowerSpec(k=3, n=500, m=200) mod F_500^203"
+# cofactor of its primitive part), so analyze answers it by route 3 alone;
+# at m = 2000 analyze refuses it on its price, before any of that runs.
+REFUSED_ON_ITS_PRICE = (
+    f"analysis budget {ANALYZE_BUDGET} exceeded: TowerSpec(k=3, n=500, m=2000) "
+    "is priced 7328820 units, 4 products mod F_500^2003 of up to 693038 bits"
 )
 
 
 @pytest.fixture(scope="module")
 def over_budget_sweep():
-    return run_sweep((3, 3), (500, 500), (200, 200))
+    return run_sweep((3, 3), (500, 500), (2000, 2000))
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +385,7 @@ def test_budget_refusal_row_roundtrips(over_budget_sweep, route_3_sweep):
 
 def test_budget_refusal_csv(over_budget_sweep, route_3_sweep):
     lines = render_csv(over_budget_sweep).strip().split("\n")
-    assert lines[1:] == ["500,3,200,,,,,,,,,budget_exceeded"]
+    assert lines[1:] == ["500,3,2000,,,,,,,,,budget_exceeded"]
     rep = route_3_sweep.rows[0].report
     (line,) = render_csv(route_3_sweep).strip().split("\n")[1:]
     assert line == (
@@ -395,9 +395,9 @@ def test_budget_refusal_csv(over_budget_sweep, route_3_sweep):
 
 
 def test_cli_analyze_budget_refusal_names_budget(capsys):
-    assert main(["analyze", "3", "500", "200"]) == 3
+    assert main(["analyze", "3", "500", "2000"]) == 3
     err = capsys.readouterr().err
-    assert err == f"budget exhausted: {REFUSED_BY_ROUTE_3}\n"
+    assert err == f"budget exhausted: {REFUSED_ON_ITS_PRICE}\n"
     assert main(["analyze", "3", "500", "1", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["match"] is True and out["chain"] == [] and out["trivial_base"] is False
@@ -420,10 +420,10 @@ def test_sweep_with_a_refusal_and_n_600_is_jobs_independent():
     assert [bool(row.report.chain_summary) for row in serial.rows] == [True, False]
     assert render_json(serial) == render_json(parallel)
     # F_4001 is refused at once: its cofactor is too large to test for
-    # primality within the factoring budget. Route 3 answers k = 1 and
-    # refuses k = 2, 3 at m = 40.
-    serial = run_sweep((1, 3), (4001, 4001), (40, 40), jobs=1)
-    parallel = run_sweep((1, 3), (4001, 4001), (40, 40), jobs=2)
+    # primality within the factoring budget. Route 3 answers k = 1, and
+    # analyze refuses k = 2, 3 on their price at m = 180.
+    serial = run_sweep((1, 3), (4001, 4001), (180, 180), jobs=1)
+    parallel = run_sweep((1, 3), (4001, 4001), (180, 180), jobs=2)
     assert [row.status for row in serial.rows] == ["ok", "budget_exceeded", "budget_exceeded"]
     assert render_json(serial) == render_json(parallel)
 
